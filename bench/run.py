@@ -31,13 +31,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 OUT = ROOT / "bench" / "out"
 
-# Set-up is sampled in fresh interpreters, spread over the run: its time
-# drifts by up to 30% within seconds on a shared host.
-SETUP_SAMPLES = 10
+# Set-up is sampled in fresh interpreters, spread over the run, and the
+# fastest sample is reported: on a shared host the median of 20 back-to-back
+# samples moved by 0.30 (quartile spread over median) from batch to batch,
+# their fastest by 0.16.
+SETUP_SAMPLES = 20
 CLI_SAMPLES = 5
 WARMUP_S = 2.0  # the first second or so of grid work runs up to 2x slower
 MAX_TRACED_ROUNDS = 10
-LAYER_MODULES = ("geometry", "diffraction", "los", "coverage", "sweep", "cli")
 
 
 def import_package():
@@ -126,6 +127,8 @@ class Rounds:
         self.round_walls: list[float] = []
         self.results = None
         self.snapshots = None
+        # Output values of one round, and how many are not finite.  Every
+        # round must write the same bytes, so one round stands for all.
         self.attempted = 0
         self.failed = 0
         self.problems: list[str] = []
@@ -141,17 +144,17 @@ class Rounds:
         snapshots = [self.workload.snapshot(op, r) for op, r in zip(ops, results)]
         if self.snapshots is None:
             self.results, self.snapshots = results, snapshots
+            values = [v for op, r in zip(ops, results) for v in self.workload.values(op, r)]
+            self.attempted = len(values)
+            self.failed = sum(1 for v in values if not math.isfinite(v))
         elif snapshots != self.snapshots:
             self.problems.append("a round's outputs differ from the first round's")
-        values = [v for op, r in zip(ops, results) for v in self.workload.values(op, r)]
-        self.attempted += len(values)
-        self.failed += sum(1 for v in values if not math.isfinite(v))
 
     def wall_s(self) -> float:
-        return sum(statistics.median(w) for w in self.walls)
+        return sum(self.workload.statistic(w) for w in self.walls)
 
     def cpu_s(self) -> float:
-        return sum(statistics.median(c) for c in self.cpus)
+        return sum(self.workload.statistic(c) for c in self.cpus)
 
 
 def check_outputs(package, workload, rounds, seed) -> list[str]:
@@ -185,7 +188,7 @@ def end_to_end(args, out_dir: Path):
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     while len(setup) < SETUP_SAMPLES:
         setup.append(setup_sample(args.workload, args.seed))
-    setup_s = statistics.median(setup)
+    setup_s = min(setup)
     problems = rounds.problems + check_outputs(package, workload, rounds, args.seed)
     wall_s = rounds.wall_s()
     metrics = {
@@ -202,10 +205,10 @@ def end_to_end(args, out_dir: Path):
     return problems, rounds, metrics
 
 
-def layer_lines() -> dict:
+def layer_lines(modules) -> dict:
     package_dir = SRC / "o2i_los"
     metrics = {}
-    for module in LAYER_MODULES:
+    for module in modules:
         path = package_dir / f"{module}.py"
         lines = len(path.read_text().splitlines()) if path.is_file() else 0
         metrics[f"{module}.lines"] = metric(lines, "count")
@@ -215,7 +218,7 @@ def layer_lines() -> dict:
 
 
 def per_layer(args, out_dir: Path):
-    from tracing import Tracer
+    from tracing import MODULES, Tracer
 
     package, workload, tracer = set_up(args.workload, args.seed, out_dir, Tracer)
     at_setup = tracer.snapshot()
@@ -253,11 +256,13 @@ def per_layer(args, out_dir: Path):
         return sum(r[name][3] for r in per_round) / total if total > 0 else 0.0
 
     grid = "los.p_los_grid"
+    csv_bytes = sum(len(text.encode()) for op, text in zip(workload.ops, plain.snapshots)
+                    if op.path is not None)
     metrics = {
         "sweep.parse_config.self_s": metric(at_setup["sweep.parse_config"][1], "s"),
         "sweep.run_sweep.self_s": metric(median("sweep.run_sweep", "self_s"), "s"),
         "sweep.emit_csv.self_s": metric(median("sweep.emit_csv", "self_s"), "s"),
-        "sweep.emit_csv.bytes": metric(median("sweep.emit_csv", "work"), "bytes"),
+        "sweep.emit_csv.bytes": metric(csv_bytes, "bytes"),
         "geometry.SceneGeometry.calls": metric(median("geometry.SceneGeometry", "calls"), "count"),
         "los.p_los_grid.calls": metric(median(grid, "calls"), "count"),
         "los.p_los_grid.self_s": metric(median(grid, "self_s"), "s"),
@@ -273,7 +278,7 @@ def per_layer(args, out_dir: Path):
         metrics[f"{name}.calls"] = metric(median(name, "calls"), "count")
     metrics["coverage.coverage_mc_oracle.trials_per_s"] = metric(
         rate("coverage.coverage_mc_oracle"), "1/s")
-    metrics.update(layer_lines())
+    metrics.update(layer_lines(MODULES))
     metrics["cli.cold_start_s"] = metric(cli_cold_start(), "s")
     metrics["trace.overhead_s"] = metric(
         statistics.median(traced.round_walls) - statistics.median(plain.round_walls), "s")

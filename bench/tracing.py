@@ -58,7 +58,7 @@ class Stats:
         self.calls = 0
         self.self_s = 0.0
         self.total_s = 0.0
-        self.work = 0  # grid cells, CSV bytes or Monte Carlo trials
+        self.work = 0  # grid cells or Monte Carlo trials
         self.peak_bytes = 0
 
 
@@ -125,7 +125,6 @@ class Tracer:
             own_tracemalloc = measure_alloc and not tracemalloc.is_tracing()
             if own_tracemalloc:
                 tracemalloc.start()
-            before = _work_before(name, args, kwargs)
             start = time.perf_counter()
             try:
                 return original(*args, **kwargs)
@@ -134,7 +133,7 @@ class Tracer:
                 if own_tracemalloc:
                     stats.peak_bytes = max(stats.peak_bytes, tracemalloc.get_traced_memory()[1])
                     tracemalloc.stop()
-                stats.work += _work_after(name, args, kwargs, before)
+                stats.work += _work(name, args, kwargs)
                 stack.pop()
                 duration = end - start
                 if stack:
@@ -161,24 +160,12 @@ class Tracer:
                 )
 
 
-def _work_before(name, args, kwargs):
-    if name == "sweep.emit_csv":
-        stream = _arg(args, kwargs, 1, "stream")
-        try:
-            return stream.tell()
-        except (AttributeError, OSError, ValueError):
-            return None
-    return None
-
-
-def _work_after(name, args, kwargs, before) -> int:
+def _work(name, args, kwargs) -> int:
     try:
         if name == "los.p_los_grid":
             return int(_arg(args, kwargs, 2, "grid").n) ** 2
         if name == "coverage.coverage_mc_oracle":
             return int(_arg(args, kwargs, 5, "trials"))
-        if name == "sweep.emit_csv" and before is not None:
-            return _arg(args, kwargs, 1, "stream").tell() - before
-    except (AttributeError, OSError, TypeError, ValueError):
+    except (AttributeError, TypeError, ValueError):
         return 0
     return 0

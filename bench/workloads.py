@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,6 +40,17 @@ DEEP_SHADOW = (
 # Validation: grid sizes of the evaluate calls, Monte Carlo calls.
 VALIDATION_GRIDS = (4000, 2000, 2000, 2000)
 VALIDATION_MC_TRIALS = (2_000_000, 2_000_000)
+
+# How one operation's wall and CPU time are taken over a run's rounds.  On
+# a shared host, pure-Python code runs about 1.5x slower in contended
+# spells than in quiet ones, and how much of a run falls into contended
+# spells changes from minute to minute: summed per-operation medians of ten
+# 30 s placement runs read 0.047 to 0.081 s.  Placement's operations last a few
+# milliseconds, so every run has rounds in quiet spells and the fastest
+# time repeats.  Figures and validation are dominated by operations of
+# 0.1-3 s that each span many spells; their fastest of a few rounds moves
+# more between runs than their median does.
+STATISTIC = {"figures": statistics.median, "placement": min, "validation": statistics.median}
 
 
 def api_table(package) -> SimpleNamespace:
@@ -69,6 +81,7 @@ class Op:
 class Workload:
     def __init__(self, name: str, ops: list[Op], warmup: Callable[[], None]):
         self.name = name
+        self.statistic = STATISTIC[name]
         self.ops = ops
         self.warmup = warmup
         self.outputs_per_round = sum(op.outputs for op in ops)
