@@ -12,10 +12,8 @@ from typing import NamedTuple
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-# Series/continued-fraction switch point and the asymptotic clamp beyond
-# which C and S are taken at their +-0.5 limits (error < 1e-2 there).
+# Series/continued-fraction switch point.
 _SERIES_CUTOFF = 1.5
-_ASYMPTOTIC_CLAMP = 50.0
 _EPS = 1e-15
 _MAX_ITER = 400
 
@@ -83,14 +81,13 @@ def _fresnel_continued_fraction(x: float) -> tuple[float, float]:
 def fresnel_integrals(v: float) -> FresnelValue:
     """Fresnel cosine and sine integrals C(v), S(v).
 
-    Odd in v; clamped to the asymptotic (+-0.5, +-0.5) limits for |v| > 50.
+    Odd in v.  The continued fraction converges faster as |v| grows, so it
+    serves every argument above the series cutoff.
     """
     if not math.isfinite(v):
         raise ValueError("invalid diffraction parameter")
     a = abs(v)
-    if a > _ASYMPTOTIC_CLAMP:
-        c, s = 0.5, 0.5
-    elif a <= _SERIES_CUTOFF:
+    if a <= _SERIES_CUTOFF:
         c, s = _fresnel_series(a)
     else:
         c, s = _fresnel_continued_fraction(a)

@@ -5,13 +5,24 @@ p_los_optical its frequency-independent high-frequency limit, and
 p_los_grid an exact deterministic grid simulation that re-derives the
 per-receiver Fresnel clearance and acts as the reference the closed
 form is judged against.
+
+Why one LoS interval per grid column suffices: at fixed receiver depth x
+the wall crossing u is an increasing affine function of y, and a receiver
+is LoS when the normalised margin
+
+    half_window - |u| - LOS_CLEARANCE_RATIO * r_d / cos_norm
+
+is >= 0.  With path slope s = (u - bs_y) / standoff the clearance term
+equals K * (1 + s^2)^(3/4), K fixed per column, which is convex in u; the
+margin is therefore concave in u and in y, and its >= 0 set is one
+interval.  p_los_grid finds that interval with O(log n) evaluations of
+the exact predicate per column; a column whose best margin lies within
+1e-9 of the room side of zero is counted cell by cell instead.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +43,9 @@ from .geometry import (
 # Fresnel zone radius.
 LOS_CLEARANCE_RATIO = 0.6
 
-_GRID_ROW_BLOCK = 128
+# A grid column whose largest normalised margin lies within this share of
+# the room side of zero is counted densely.
+_NEAR_ZERO = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,7 +53,6 @@ class GridSpec:
     """Grid-simulation resolution: n x n receiver positions at cell centres."""
 
     n: int
-    seed: int = 0  # reserved; the grid evaluation is deterministic
 
     def __post_init__(self):
         if self.n < 10:
@@ -139,67 +151,94 @@ def is_los(scene: SceneGeometry, ms: Point2D, frequency: float) -> bool:
     )
 
 
-def _los_count_block(
-    scene: SceneGeometry, wavelength_m: float, xs: np.ndarray, ys: np.ndarray
-) -> int:
-    """LoS receiver count over the xs-by-ys block, per-point clearances."""
-    bs = bs_position(scene)
-    x = xs[:, None]
-    y = ys[None, :]
+def _clearance(bs: Point2D, half_window: float, wavelength_m: float, x, y):
+    """Exact LoS predicate and normalised clearance margin at receivers (x, y).
+
+    The predicate is is_los evaluated per point on arrays: the path crosses
+    the wall plane inside the window and both edge clearances reach
+    LOS_CLEARANCE_RATIO * r_d.  The margin, half_window - |u| -
+    LOS_CLEARANCE_RATIO * r_d / cos_norm for the wall crossing u, has the
+    predicate's sign.
+    """
     t = (0.0 - bs.x) / (x - bs.x)
     y_cross = bs.y + (y - bs.y) * t
-    half_window = scene.window_width / 2.0
     d1 = np.hypot(0.0 - bs.x, y_cross - bs.y)
     d2 = np.hypot(x, y - y_cross)
     rd = np.sqrt(wavelength_m * d1 * d2 / (d1 + d2))
     # Perpendicular edge clearance = wall-plane offset scaled by the path
     # direction cosine against the wall normal.
     cos_norm = (x - bs.x) / np.hypot(x - bs.x, y - bs.y)
-    clear_upper = (half_window - y_cross) * cos_norm
-    clear_lower = (y_cross + half_window) * cos_norm
     threshold = LOS_CLEARANCE_RATIO * rd
     ok = (
         (np.abs(y_cross) < half_window)
-        & (clear_upper >= threshold)
-        & (clear_lower >= threshold)
+        & ((half_window - y_cross) * cos_norm >= threshold)
+        & ((y_cross + half_window) * cos_norm >= threshold)
     )
-    return int(np.count_nonzero(ok))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("O2I_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+    return ok, half_window - np.abs(y_cross) - threshold / cos_norm
 
 
 def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     """LoS fraction over an n x n grid of receivers at room cell centres.
 
-    Deterministic for fixed inputs; the row-block partition and the integer
-    count reduction make the result independent of worker count
-    (O2I_THREADS caps parallelism, 0 = auto).
+    The exact per-point predicate decides every cell, yet each column
+    (fixed depth x) costs O(log n) evaluations, vectorised across columns.
+    In a column the normalised margin is concave in y, since its clearance
+    term K * (1 + s^2)^(3/4) is convex in the wall crossing u, so the LoS
+    cells form one run (module docstring).  The seed cell of a column is
+    the one of largest margin, next to the closed-form maximiser.  If the
+    seed is LoS, bisection with the predicate on each side finds the first
+    and last LoS cell; if not, the column has none.  A column whose largest
+    margin lies within _NEAR_ZERO * room_side of zero is counted densely
+    with the same predicate instead, since there rounding may split the
+    run.  The count is exact and deterministic.
     """
     n = grid.n
     wavelength_m = wavelength(frequency)
     step = scene.room_side / n
     xs = (np.arange(n) + 0.5) * step
     ys = -scene.room_side / 2.0 + (np.arange(n) + 0.5) * step
-    blocks = [xs[i : i + _GRID_ROW_BLOCK] for i in range(0, n, _GRID_ROW_BLOCK)]
+    bs = bs_position(scene)
+    standoff = 0.0 - bs.x
+    half_window = scene.window_width / 2.0
 
-    workers = _worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(lambda b: _los_count_block(scene, wavelength_m, b, ys), blocks)
-            )
-    else:
-        counts = [_los_count_block(scene, wavelength_m, b, ys) for b in blocks]
-    return sum(counts) / (n * n)
+    def at(x, j):
+        return _clearance(bs, half_window, wavelength_m, x, ys[j])
+
+    # Path slope s maximising the margin: the window-centre slope tan(theta)
+    # unless the Fresnel term's slope there exceeds the unit slope of |u|,
+    # in which case s = +-s_max solves 3k/(2 standoff) s (1+s^2)^(-1/4) = 1.
+    k = LOS_CLEARANCE_RATIO * np.sqrt(wavelength_m * standoff * xs / (xs + standoff))
+    c2 = (2.0 * standoff / (3.0 * k)) ** 2
+    s_max = np.sqrt(c2 * (c2 + np.sqrt(c2 * c2 + 4.0)) / 2.0)
+    slope = np.clip(math.tan(scene.bs_angle), -s_max, s_max)
+    row = np.floor((bs.y + slope * (xs + standoff) + scene.room_side / 2.0) / step - 0.5)
+    pair = np.clip(np.stack([row, row + 1.0]), 0, n - 1).astype(np.intp)
+    ok, margin = at(xs, pair)
+    upper = margin[1] > margin[0]
+    best = np.where(upper, pair[1], pair[0])
+    ok = np.where(upper, ok[1], ok[0])
+    near = np.abs(np.maximum(margin[0], margin[1])) <= _NEAR_ZERO * scene.room_side
+
+    # The predicate is false, then true up to best, then false again.
+    cols = np.flatnonzero(ok & ~near)
+    x = xs[cols]
+    first, first_end = np.zeros_like(cols), best[cols]
+    last, last_end = best[cols], np.full_like(cols, n - 1)
+    while (first < first_end).any() or (last < last_end).any():
+        mid_first = (first + first_end) // 2
+        mid_last = (last + last_end + 1) // 2
+        hit, _ = at(x, np.stack([mid_first, mid_last]))
+        first_end = np.where(hit[0], mid_first, first_end)
+        first = np.where(hit[0], first, mid_first + 1)
+        last = np.where(hit[1], mid_last, last)
+        last_end = np.where(hit[1], last_end, mid_last - 1)
+    count = int(np.sum(last - first + 1))
+
+    dense = np.flatnonzero(near)
+    if dense.size:
+        hit, _ = at(xs[dense][:, None], np.arange(n))
+        count += int(np.count_nonzero(hit))
+    return count / (n * n)
 
 
 def evaluate(

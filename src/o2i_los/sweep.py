@@ -10,8 +10,7 @@ re-parsed into the SweepSpec that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
 from typing import TextIO
 
 from .coverage import FadingModel, LinkBudget, coverage_probability
@@ -110,11 +109,6 @@ class RunRecord:
     columns: tuple[str, ...]
     rows: list[tuple[float, ...]]
     version: str
-    timestamp: str  # informational; never emitted, CSV bytes depend only on the SweepSpec
-    seed: int = field(init=False)
-
-    def __post_init__(self):
-        self.seed = self.spec.seed
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -226,7 +220,7 @@ def _evaluate_output(name: str, values: dict[str, float], spec: SweepSpec) -> fl
     if name == "p_los_closed":
         return p_los_closed(_scene_from(values), frequency)
     if name == "p_los_grid":
-        grid = GridSpec(n=spec.oracle_n, seed=spec.seed)
+        grid = GridSpec(n=spec.oracle_n)
         return p_los_grid(_scene_from(values), frequency, grid)
     if name == "p_los_optical":
         return p_los_optical(_scene_from(values))
@@ -276,7 +270,6 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
         columns=(spec.swept,) + spec.outputs,
         rows=rows,
         version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
     )
 
 

@@ -15,7 +15,15 @@ from o2i_los.diffraction import (
     wavelength,
 )
 
-from oracles import fresnel_by_quadrature, fresnel_grid_by_quadrature, ked_loss_by_quadrature
+from scipy.special import fresnel
+
+from oracles import (
+    fresnel_by_quadrature,
+    fresnel_grid_by_quadrature,
+    itu_j_db,
+    ked_loss_by_quadrature,
+    ked_loss_by_scipy,
+)
 
 LAMBDA_28GHZ = SPEED_OF_LIGHT / 28e9
 
@@ -24,9 +32,12 @@ class TestFresnelIntegrals:
     def test_zero(self):
         assert fresnel_integrals(0.0) == (0.0, 0.0)
 
-    def test_clamped_to_asymptote(self):
-        assert fresnel_integrals(60.0) == (0.5, 0.5)
-        assert fresnel_integrals(-60.0) == (-0.5, -0.5)
+    @pytest.mark.parametrize("v", [50.1, 100.0, 1e3, 1e4, -50.1, -100.0, -1e3, -1e4])
+    def test_large_argument_matches_scipy(self, v):
+        s_ref, c_ref = fresnel(v)
+        c, s = fresnel_integrals(v)
+        assert c == pytest.approx(c_ref, abs=1e-12)
+        assert s == pytest.approx(s_ref, abs=1e-12)
 
     def test_unit_argument(self):
         c, s = fresnel_integrals(1.0)
@@ -91,7 +102,10 @@ class TestKedExcessLoss:
         assert ked_excess_loss_db(0.0) == pytest.approx(6.0206, abs=1e-3)
 
     def test_full_clearance(self):
-        assert ked_excess_loss_db(60.0) == 0.0
+        # within the clearance ripple of 0 dB, 20*log10(1 + 1/(pi*v)) at most
+        got = ked_excess_loss_db(60.0)
+        assert got == pytest.approx(ked_loss_by_scipy(60.0), abs=1e-9)
+        assert abs(got) <= 20 * math.log10(1 + 1 / (math.pi * 60.0))
 
     def test_deep_shadow_one_radius(self):
         # clearance of minus one Fresnel radius, i.e. obstruction argument sqrt(2)
@@ -104,6 +118,13 @@ class TestKedExcessLoss:
             assert ked_excess_loss_db(v) == pytest.approx(
                 ked_loss_by_quadrature(v), abs=1e-9
             )
+
+    @pytest.mark.parametrize("v", [50.1, 100.0, 1e3, 1e4])
+    def test_deep_shadow_finite_and_matches_references(self, v):
+        got = ked_excess_loss_db(-v)
+        assert math.isfinite(got)
+        assert got == pytest.approx(ked_loss_by_scipy(-v), abs=1e-9)
+        assert got == pytest.approx(itu_j_db(v), abs=0.1)
 
     def test_monotone_into_shadow(self):
         vs = np.arange(0.0, 10.0, 0.05)
@@ -159,7 +180,11 @@ class TestTotalPathLoss:
     def test_full_clearance_is_fspl(self):
         got = total_path_loss_db(8.0, 20.0, 1000.0, LAMBDA_28GHZ)
         assert got == pytest.approx(90.33, abs=0.01)
-        assert got == free_space_path_loss_db(28.0, LAMBDA_28GHZ)
+        # free space up to the knife-edge ripple at this clearance
+        v = diffraction_parameter(1000.0, 8.0, 20.0, LAMBDA_28GHZ)
+        fspl = free_space_path_loss_db(28.0, LAMBDA_28GHZ)
+        assert got == pytest.approx(fspl + ked_loss_by_scipy(v), abs=1e-9)
+        assert abs(got - fspl) <= 20 * math.log10(1 + 1 / (math.pi * v))
 
     def test_grazing_adds_six_db(self):
         lam = SPEED_OF_LIGHT / 1e9

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from o2i_los import los
 from o2i_los.diffraction import SPEED_OF_LIGHT, fresnel_radius, wavelength
 from o2i_los.geometry import Point2D, SceneGeometry, bs_position
 from o2i_los.los import (
+    LOS_CLEARANCE_RATIO,
     GridSpec,
     critical_frequency,
     evaluate,
@@ -18,7 +20,7 @@ from o2i_los.los import (
     p_los_optical,
 )
 
-from oracles import visible_area_fraction
+from oracles import dense_los_count, visible_area_fraction
 
 F_28 = 28e9
 
@@ -191,14 +193,53 @@ class TestPLosGrid:
                 count += is_los(sc, ms, F_28)
         assert grid_value == count / n**2
 
-    def test_deterministic_and_worker_independent(self, monkeypatch):
-        sc = scene()
+    def test_deterministic(self):
+        sc = scene(angle=0.3)
         first = p_los_grid(sc, F_28, GridSpec(300))
-        monkeypatch.setenv("O2I_THREADS", "1")
-        sequential = p_los_grid(sc, F_28, GridSpec(300))
-        monkeypatch.setenv("O2I_THREADS", "4")
-        threaded = p_los_grid(sc, F_28, GridSpec(300))
-        assert first == sequential == threaded
+        assert all(p_los_grid(sc, F_28, GridSpec(300)) == first for _ in range(3))
+        assert first == dense_los_count(20.0, 2.0, 5.0, 0.3, F_28, 300) / 300**2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(10, 700),
+        deg=st.floats(-89.0, 89.0),
+        log_f=st.floats(8.0, 11.0),
+        room=st.floats(1.0, 100.0),
+        window_share=st.floats(0.01, 1.0),
+        dist=st.floats(0.5, 100.0),
+        below_critical=st.one_of(st.none(), st.floats(0.2, 1.0)),
+    )
+    def test_count_equals_dense_reference(
+        self, n, deg, log_f, room, window_share, dist, below_critical
+    ):
+        window = room * window_share
+        frequency = 10.0**log_f
+        if below_critical is not None:
+            frequency = below_critical * critical_frequency(window, dist, room)
+        sc = scene(room=room, window=window, dist=dist, angle=math.radians(deg))
+        count = dense_los_count(room, window, dist, math.radians(deg), frequency, n)
+        assert p_los_grid(sc, frequency, GridSpec(n)) == count / n**2
+
+    def test_near_zero_column_counted_densely(self, monkeypatch):
+        # Tune the frequency so that column 50 of 101 just reaches the
+        # clearance threshold at y = 0, where its margin peaks at normal
+        # incidence: its largest margin is zero up to rounding.
+        n, column = 101, 50
+        depth = (column + 0.5) * 20.0 / n
+        lam = (1.0 / LOS_CLEARANCE_RATIO) ** 2 * (depth + 5.0) / (5.0 * depth)
+        frequency = SPEED_OF_LIGHT / lam
+        dense_columns = []
+        clearance = los._clearance
+
+        def spy(bs, half_window, wavelength_m, x, y):
+            if np.ndim(x) == 2:
+                dense_columns.extend(np.ravel(x))
+            return clearance(bs, half_window, wavelength_m, x, y)
+
+        monkeypatch.setattr(los, "_clearance", spy)
+        got = p_los_grid(scene(), frequency, GridSpec(n))
+        assert dense_columns == [depth]
+        assert got == dense_los_count(20.0, 2.0, 5.0, 0.0, frequency, n) / n**2
 
     def test_mirror_symmetry(self):
         up = p_los_grid(scene(angle=0.4), F_28, GridSpec(400))

@@ -2,6 +2,7 @@ import io
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,10 @@ from o2i_los.sweep import (
     parse_config,
     run_sweep,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 
 def render(record) -> str:
@@ -162,6 +167,20 @@ class TestEmitCsv:
         emitted = render(run_sweep(spec))
         echoed = [l[2:] for l in emitted.splitlines() if l.startswith("# ") and "=" in l]
         assert parse_config("\n".join(echoed)) == spec
+
+
+class TestGoldenResults:
+    def test_one_result_per_config(self):
+        assert CONFIGS
+        results = sorted(p.stem for p in (ROOT / "results").glob("*.csv"))
+        assert results == [p.stem for p in CONFIGS]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_regenerates_committed_csv(self, config, tmp_path):
+        target = tmp_path / (config.stem + ".csv")
+        with open(target, "w") as stream:
+            emit_csv(run_sweep(parse_config(config.read_text())), stream)
+        assert target.read_bytes() == (ROOT / "results" / target.name).read_bytes()
 
 
 valid_specs = st.builds(
