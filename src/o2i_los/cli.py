@@ -9,19 +9,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .diffraction import fresnel_radius, wavelength
-from .geometry import (
-    Point2D,
-    SceneGeometry,
-    bs_position,
-    intrusion_distance,
-    path_decomposition,
-    window_edges,
-)
-from .los import LOS_CLEARANCE_RATIO, critical_frequency, is_los
-from .sweep import ConfigError, SweepRuntimeError, emit_csv, sweep_with_overrides
+from .diffraction import wavelength
+from .geometry import Point2D, SceneGeometry
+from .los import LOS_CLEARANCE_RATIO, clearances, critical_frequency, is_los
+from .sweep import ConfigError, SweepRuntimeError, emit_csv, parse_config, run_sweep
 
 
 def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
@@ -37,7 +31,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         text = Path(args.config).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
-    record = sweep_with_overrides(text, seed=args.seed, oracle_n=args.oracle_n)
+    spec = parse_config(text)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    if args.oracle_n is not None:
+        spec = replace(spec, oracle_n=args.oracle_n)
+    record = run_sweep(spec)
     if args.out is None:
         emit_csv(record, sys.stdout)
         return 0
@@ -69,20 +68,16 @@ def _cmd_los_point(args: argparse.Namespace) -> int:
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    ms = Point2D(args.ms_x, args.ms_y)
-    verdict = is_los(scene, ms, args.frequency_hz)
-    bs = bs_position(scene)
-    decomposition = path_decomposition(bs, ms)
-    rd = fresnel_radius(decomposition.d1, decomposition.d2, wavelength(args.frequency_hz))
-    lower, upper = window_edges(scene)
+    verdict = is_los(scene, Point2D(args.ms_x, args.ms_y), args.frequency_hz)
+    c = clearances(scene, args.ms_x, args.ms_y, wavelength(args.frequency_hz))
     print(f"los={'true' if verdict else 'false'}")
-    print(f"d1={decomposition.d1}")
-    print(f"d2={decomposition.d2}")
-    print(f"crossing_y={decomposition.crossing.y}")
-    print(f"r_d={rd}")
-    print(f"clearance_threshold={LOS_CLEARANCE_RATIO * rd}")
-    print(f"clearance_lower={intrusion_distance(bs, ms, lower)}")
-    print(f"clearance_upper={intrusion_distance(bs, ms, upper)}")
+    print(f"d1={c.d1}")
+    print(f"d2={c.d2}")
+    print(f"crossing_y={c.crossing_y}")
+    print(f"r_d={c.r_d}")
+    print(f"clearance_threshold={LOS_CLEARANCE_RATIO * c.r_d}")
+    print(f"clearance_lower={c.lower}")
+    print(f"clearance_upper={c.upper}")
     return 0
 
 

@@ -101,6 +101,8 @@ def _gamma_p_series(m: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * 1e-17:
             break
+    else:
+        raise ValueError(f"incomplete gamma series did not converge at m={m!r}, x={x!r}")
     exponent = -x + m * math.log(x) - math.lgamma(m)
     return total * math.exp(exponent) if exponent > -745.0 else 0.0
 
@@ -125,6 +127,10 @@ def _gamma_q_continued_fraction(m: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-17:
             break
+    else:
+        raise ValueError(
+            f"incomplete gamma continued fraction did not converge at m={m!r}, x={x!r}"
+        )
     exponent = -x + m * math.log(x) - math.lgamma(m)
     return h * math.exp(exponent) if exponent > -745.0 else 0.0
 

@@ -54,15 +54,6 @@ class SceneGeometry:
             raise ValueError("bs_angle must lie strictly inside (-90, 90) degrees")
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
-    """A base-station-to-receiver path split at the window wall plane."""
-
-    d1: float
-    d2: float
-    crossing: Point2D
-
-
 def bs_position(scene: SceneGeometry) -> Point2D:
     """Base station location: standoff bs_distance at aspect angle bs_angle.
 
@@ -87,47 +78,3 @@ def window_to_far_wall_distance(scene: SceneGeometry) -> float:
     if abs(theta) < CORNER_RAY_ANGLE:
         return scene.room_side / math.cos(theta)
     return scene.room_side / (2.0 * abs(math.sin(theta)))
-
-
-def window_edges(scene: SceneGeometry) -> tuple[Point2D, Point2D]:
-    """Lower and upper window edge points on the wall plane."""
-    half = scene.window_width / 2.0
-    return Point2D(0.0, -half), Point2D(0.0, half)
-
-
-def intrusion_distance(bs: Point2D, ms: Point2D, edge: Point2D) -> float:
-    """Signed clearance of a window edge from the straight bs-ms path.
-
-    The obstruction attached to an edge is the wall half-plane running from
-    the edge away from the window centre (the origin).  The magnitude is the
-    perpendicular distance from the edge to the path line; the sign is
-    positive when that half-plane stays clear of the path and negative when
-    it cuts across it.
-    """
-    dx = ms.x - bs.x
-    dy = ms.y - bs.y
-    length = math.hypot(dx, dy)
-    if length == 0.0:
-        raise ValueError("coincident endpoints")
-    perp = abs(dx * (edge.y - bs.y) - dy * (edge.x - bs.x)) / length
-
-    if dx == 0.0:
-        # Path parallel to the wall plane never enters the wall half-plane.
-        return perp
-    y_cross = bs.y + dy * (0.0 - bs.x) / dx
-    away_from_centre = math.copysign(1.0, edge.y) if edge.y != 0.0 else 1.0
-    blocked = away_from_centre * (y_cross - edge.y) > 0.0
-    return -perp if blocked else perp
-
-
-def path_decomposition(bs: Point2D, ms: Point2D) -> PathDecomposition:
-    """Split the bs-ms segment at the wall plane x = 0."""
-    if bs.x == ms.x:
-        raise ValueError("no wall crossing")
-    t = (0.0 - bs.x) / (ms.x - bs.x)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("no wall crossing")
-    crossing = Point2D(0.0, bs.y + t * (ms.y - bs.y))
-    d1 = math.hypot(crossing.x - bs.x, crossing.y - bs.y)
-    d2 = math.hypot(ms.x - crossing.x, ms.y - crossing.y)
-    return PathDecomposition(d1=d1, d2=d2, crossing=crossing)

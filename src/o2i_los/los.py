@@ -1,10 +1,12 @@
 """Line-of-sight probability through the window, three ways.
 
-p_los_closed evaluates the closed-form wedge-area approximation,
-p_los_optical its frequency-independent high-frequency limit, and
-p_los_grid an exact deterministic grid simulation that re-derives the
-per-receiver Fresnel clearance and acts as the reference the closed
-form is judged against.
+clearances is the one LoS predicate: it splits the base-station-to-receiver
+path at the wall plane and returns the verdict with the crossing point, d1,
+d2, the Fresnel radius and both signed edge clearances.  is_los applies it
+to one receiver and p_los_grid to a grid of them.  p_los_closed evaluates
+the closed-form wedge-area approximation, p_los_optical its
+frequency-independent high-frequency limit, and p_los_grid is the exact
+deterministic reference the closed form is judged against.
 
 Why one LoS interval per grid column suffices: at fixed receiver depth x
 the wall crossing u is an increasing affine function of y, and a receiver
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +36,6 @@ from .geometry import (
     SceneGeometry,
     bs_position,
     bs_to_window_distance,
-    intrusion_distance,
-    path_decomposition,
-    window_edges,
     window_to_far_wall_distance,
 )
 
@@ -126,40 +126,31 @@ def critical_frequency(window_width: float, bs_distance: float, room_side: float
     return SPEED_OF_LIGHT / critical_wavelength
 
 
-def is_los(scene: SceneGeometry, ms: Point2D, frequency: float) -> bool:
-    """Whether a receiver at ms has line of sight through the window.
+class Clearances(NamedTuple):
+    """The LoS predicate and its terms for receivers at (x, y).
 
-    True iff the direct path crosses the wall plane inside the open window
-    and both window edges clear the path by at least LOS_CLEARANCE_RATIO
-    times the first Fresnel radius at the wall plane.
+    los: the path crosses the wall plane inside the window and both edge
+    clearances reach LOS_CLEARANCE_RATIO * r_d.  margin: half_window - |u|
+    - LOS_CLEARANCE_RATIO * r_d / cos_norm for the wall crossing u, with the
+    sign of the predicate.  lower, upper: signed perpendicular distances of
+    the window edges from the path, negative when the wall beyond that edge
+    cuts the path.
     """
-    half_room = scene.room_side / 2.0
-    if not (0.0 <= ms.x <= scene.room_side and abs(ms.y) <= half_room):
-        raise ValueError("MS outside room")
-    if ms.x == 0.0:
-        return False  # receiver on the wall plane itself: no through-window path
+
+    los: np.ndarray
+    margin: np.ndarray
+    crossing_y: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    r_d: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def clearances(scene: SceneGeometry, x, y, wavelength_m: float) -> Clearances:
+    """Split the path to receivers at (x, y) at the wall plane; x > 0, arrays or floats."""
     bs = bs_position(scene)
-    decomposition = path_decomposition(bs, ms)
-    if abs(decomposition.crossing.y) >= scene.window_width / 2.0:
-        return False
-    rd = fresnel_radius(decomposition.d1, decomposition.d2, wavelength(frequency))
-    lower, upper = window_edges(scene)
-    threshold = LOS_CLEARANCE_RATIO * rd
-    return (
-        intrusion_distance(bs, ms, lower) >= threshold
-        and intrusion_distance(bs, ms, upper) >= threshold
-    )
-
-
-def _clearance(bs: Point2D, half_window: float, wavelength_m: float, x, y):
-    """Exact LoS predicate and normalised clearance margin at receivers (x, y).
-
-    The predicate is is_los evaluated per point on arrays: the path crosses
-    the wall plane inside the window and both edge clearances reach
-    LOS_CLEARANCE_RATIO * r_d.  The margin, half_window - |u| -
-    LOS_CLEARANCE_RATIO * r_d / cos_norm for the wall crossing u, has the
-    predicate's sign.
-    """
+    half_window = scene.window_width / 2.0
     t = (0.0 - bs.x) / (x - bs.x)
     y_cross = bs.y + (y - bs.y) * t
     d1 = np.hypot(0.0 - bs.x, y_cross - bs.y)
@@ -169,12 +160,21 @@ def _clearance(bs: Point2D, half_window: float, wavelength_m: float, x, y):
     # direction cosine against the wall normal.
     cos_norm = (x - bs.x) / np.hypot(x - bs.x, y - bs.y)
     threshold = LOS_CLEARANCE_RATIO * rd
-    ok = (
-        (np.abs(y_cross) < half_window)
-        & ((half_window - y_cross) * cos_norm >= threshold)
-        & ((y_cross + half_window) * cos_norm >= threshold)
-    )
-    return ok, half_window - np.abs(y_cross) - threshold / cos_norm
+    lower = (y_cross + half_window) * cos_norm
+    upper = (half_window - y_cross) * cos_norm
+    ok = (np.abs(y_cross) < half_window) & (upper >= threshold) & (lower >= threshold)
+    margin = half_window - np.abs(y_cross) - threshold / cos_norm
+    return Clearances(ok, margin, y_cross, d1, d2, rd, lower, upper)
+
+
+def is_los(scene: SceneGeometry, ms: Point2D, frequency: float) -> bool:
+    """Whether a receiver at ms has line of sight through the window, per clearances."""
+    half_room = scene.room_side / 2.0
+    if not (0.0 <= ms.x <= scene.room_side and abs(ms.y) <= half_room):
+        raise ValueError("MS outside room")
+    if ms.x == 0.0:
+        return False  # receiver on the wall plane itself: no through-window path
+    return bool(clearances(scene, ms.x, ms.y, wavelength(frequency)).los)
 
 
 def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
@@ -199,10 +199,9 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     ys = -scene.room_side / 2.0 + (np.arange(n) + 0.5) * step
     bs = bs_position(scene)
     standoff = 0.0 - bs.x
-    half_window = scene.window_width / 2.0
 
     def at(x, j):
-        return _clearance(bs, half_window, wavelength_m, x, ys[j])
+        return clearances(scene, x, ys[j], wavelength_m)
 
     # Path slope s maximising the margin: the window-centre slope tan(theta)
     # unless the Fresnel term's slope there exceeds the unit slope of |u|,
@@ -213,7 +212,7 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     slope = np.clip(math.tan(scene.bs_angle), -s_max, s_max)
     row = np.floor((bs.y + slope * (xs + standoff) + scene.room_side / 2.0) / step - 0.5)
     pair = np.clip(np.stack([row, row + 1.0]), 0, n - 1).astype(np.intp)
-    ok, margin = at(xs, pair)
+    ok, margin = at(xs, pair)[:2]
     upper = margin[1] > margin[0]
     best = np.where(upper, pair[1], pair[0])
     ok = np.where(upper, ok[1], ok[0])
@@ -227,7 +226,7 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     while (first < first_end).any() or (last < last_end).any():
         mid_first = (first + first_end) // 2
         mid_last = (last + last_end + 1) // 2
-        hit, _ = at(x, np.stack([mid_first, mid_last]))
+        hit = at(x, np.stack([mid_first, mid_last])).los
         first_end = np.where(hit[0], mid_first, first_end)
         first = np.where(hit[0], first, mid_first + 1)
         last = np.where(hit[1], mid_last, last)
@@ -236,7 +235,7 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
 
     dense = np.flatnonzero(near)
     if dense.size:
-        hit, _ = at(xs[dense][:, None], np.arange(n))
+        hit = at(xs[dense][:, None], np.arange(n)).los
         count += int(np.count_nonzero(hit))
     return count / (n * n)
 

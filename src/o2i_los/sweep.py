@@ -10,7 +10,7 @@ re-parsed into the SweepSpec that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TextIO
 
 from .coverage import FadingModel, LinkBudget, coverage_probability
@@ -59,15 +59,11 @@ SWEEPABLE = (
     "bs_distance_m",
     "delta_over_rd",
 )
-OUTPUT_NAMES = (
-    "p_los_closed",
-    "p_los_grid",
-    "p_los_optical",
-    "path_loss_db",
-    "p_cov",
-    "critical_frequency_hz",
-)
 _SCENE_KEYS = ("room_m", "window_m", "bs_distance_m", "theta_deg")
+# Largest sweep and grid a spec may ask for; beyond these a config is
+# rejected before anything is allocated.
+MAX_POINTS = 100_000
+MAX_ORACLE_N = 10_000
 
 
 @dataclass
@@ -93,10 +89,15 @@ class SweepSpec:
         if self.swept in self.fixed:
             raise ConfigError(f"swept parameter '{self.swept}' must not also be fixed")
         for name in self.outputs:
-            if name not in OUTPUT_NAMES:
+            if name not in OUTPUTS:
                 raise ConfigError(f"unknown output '{name}'")
-        if self.oracle_n < 10:
-            raise ConfigError("oracle_n must be at least 10")
+        if self.outputs and not any(self.swept in OUTPUTS[name][1] for name in self.outputs):
+            raise ConfigError(f"no requested output reads the swept key '{self.swept}'")
+        if not 10 <= self.oracle_n <= MAX_ORACLE_N:
+            raise ConfigError(f"oracle_n must lie between 10 and {MAX_ORACLE_N}")
+        # Checked before values() builds the list; also rejects an infinite count.
+        if not (self.stop - self.start) / self.step + 1e-9 < MAX_POINTS:
+            raise ConfigError(f"sweep has more than {MAX_POINTS} points")
 
     def values(self) -> list[float]:
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -137,6 +138,64 @@ def _scene_from(values: dict[str, float]) -> SceneGeometry:
     )
 
 
+def _fading_from(values: dict[str, float]) -> FadingModel:
+    return FadingModel(
+        m_los=values["m_los"],
+        m_nlos=values["m_nlos"],
+        n_los=values["n_los"],
+        n_nlos=values["n_nlos"],
+    )
+
+
+def _budget_from(values: dict[str, float]) -> LinkBudget:
+    return LinkBudget(
+        frequency=values["frequency_hz"],
+        tx_power_dbm=values["tx_power_dbm"],
+        noise_floor_dbm=values["noise_dbm"],
+        snr_threshold_db=values["snr_threshold_db"],
+    )
+
+
+def _path_loss_db(values: dict[str, float], spec: SweepSpec) -> float:
+    lam = wavelength(values["frequency_hz"])
+    d1, d2 = values["d1_m"], values["d2_m"]
+    delta = values["delta_over_rd"] * fresnel_radius(d1, d2, lam)
+    return total_path_loss_db(d1, d2, delta, lam)
+
+
+def _p_cov(v: dict[str, float], spec: SweepSpec) -> float:
+    return coverage_probability(
+        v["bs_distance_m"], v["ms_distance_m"], v["window_m"], _fading_from(v), _budget_from(v)
+    ).p_cov
+
+
+_LINK_KEYS = (
+    "bs_distance_m", "ms_distance_m", "window_m", "frequency_hz", "tx_power_dbm",
+    "noise_dbm", "snr_threshold_db", "m_los", "m_nlos", "n_los", "n_nlos",
+)
+# Each output: its evaluator of (point values, spec) and the keys it reads.
+OUTPUTS = {
+    "p_los_closed": (
+        lambda v, spec: p_los_closed(_scene_from(v), v["frequency_hz"]),
+        (*_SCENE_KEYS, "frequency_hz"),
+    ),
+    "p_los_grid": (
+        lambda v, spec: p_los_grid(_scene_from(v), v["frequency_hz"], GridSpec(spec.oracle_n)),
+        (*_SCENE_KEYS, "frequency_hz"),
+    ),
+    "p_los_optical": (
+        lambda v, spec: p_los_optical(_scene_from(v)),
+        ("room_m", "window_m", "bs_distance_m"),
+    ),
+    "path_loss_db": (_path_loss_db, ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
+    "p_cov": (_p_cov, _LINK_KEYS),
+    "critical_frequency_hz": (
+        lambda v, spec: critical_frequency(v["window_m"], v["bs_distance_m"], v["room_m"]),
+        ("window_m", "bs_distance_m", "room_m"),
+    ),
+}
+
+
 def parse_config(text: str) -> SweepSpec:
     """Parse and fully resolve a sweep config document."""
     raw: dict[str, str] = {}
@@ -175,20 +234,9 @@ def parse_config(text: str) -> SweepSpec:
         except ValueError as err:
             raise ConfigError(str(err)) from None
     try:
-        FadingModel(
-            m_los=numeric["m_los"],
-            m_nlos=numeric["m_nlos"],
-            n_los=numeric["n_los"],
-            n_nlos=numeric["n_nlos"],
-        )
-        LinkBudget(
-            # Placeholder frequency while sweeping it; the dBm fields are
-            # what is being validated here.
-            frequency=1.0 if swept == "frequency_hz" else numeric["frequency_hz"],
-            tx_power_dbm=numeric["tx_power_dbm"],
-            noise_floor_dbm=numeric["noise_dbm"],
-            snr_threshold_db=numeric["snr_threshold_db"],
-        )
+        # A swept frequency_hz holds its positive default here.
+        _fading_from(numeric)
+        _budget_from(numeric)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
@@ -215,43 +263,6 @@ def parse_config(text: str) -> SweepSpec:
     )
 
 
-def _evaluate_output(name: str, values: dict[str, float], spec: SweepSpec) -> float:
-    frequency = values["frequency_hz"]
-    if name == "p_los_closed":
-        return p_los_closed(_scene_from(values), frequency)
-    if name == "p_los_grid":
-        grid = GridSpec(n=spec.oracle_n)
-        return p_los_grid(_scene_from(values), frequency, grid)
-    if name == "p_los_optical":
-        return p_los_optical(_scene_from(values))
-    if name == "critical_frequency_hz":
-        return critical_frequency(
-            values["window_m"], values["bs_distance_m"], values["room_m"]
-        )
-    if name == "path_loss_db":
-        lam = wavelength(frequency)
-        d1, d2 = values["d1_m"], values["d2_m"]
-        delta = values["delta_over_rd"] * fresnel_radius(d1, d2, lam)
-        return total_path_loss_db(d1, d2, delta, lam)
-    if name == "p_cov":
-        fading = FadingModel(
-            m_los=values["m_los"],
-            m_nlos=values["m_nlos"],
-            n_los=values["n_los"],
-            n_nlos=values["n_nlos"],
-        )
-        budget = LinkBudget(
-            frequency=frequency,
-            tx_power_dbm=values["tx_power_dbm"],
-            noise_floor_dbm=values["noise_dbm"],
-            snr_threshold_db=values["snr_threshold_db"],
-        )
-        return coverage_probability(
-            values["bs_distance_m"], values["ms_distance_m"], values["window_m"], fading, budget
-        ).p_cov
-    raise ConfigError(f"unknown output '{name}'")
-
-
 def run_sweep(spec: SweepSpec) -> RunRecord:
     """Evaluate every requested output at every sweep point."""
     from . import __version__
@@ -261,7 +272,7 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
         point = dict(spec.fixed)
         point[spec.swept] = value
         try:
-            row = tuple(_evaluate_output(name, point, spec) for name in spec.outputs)
+            row = tuple(OUTPUTS[name][0](point, spec) for name in spec.outputs)
         except ValueError as err:
             raise SweepRuntimeError(f"at {spec.swept}={value!r}: {err}") from err
         rows.append((value,) + row)
@@ -296,15 +307,3 @@ def emit_csv(record: RunRecord, stream: TextIO) -> None:
     stream.write(",".join(record.columns) + "\n")
     for row in record.rows:
         stream.write(",".join(repr(value) for value in row) + "\n")
-
-
-def sweep_with_overrides(
-    text: str, seed: int | None = None, oracle_n: int | None = None
-) -> RunRecord:
-    """Parse a config, apply CLI overrides, and run the sweep."""
-    spec = parse_config(text)
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    if oracle_n is not None:
-        spec = replace(spec, oracle_n=oracle_n)
-    return run_sweep(spec)

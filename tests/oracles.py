@@ -137,6 +137,21 @@ def visible_area_fraction(room_side: float, window_width: float,
     return _shoelace(room) / room_side**2
 
 
+def edge_clearance(bs_x: float, bs_y: float, ms_x: float, ms_y: float,
+                   edge_y: float) -> float:
+    """Signed clearance of the window edge (0, edge_y) from the bs-ms line.
+
+    The magnitude is the cross-product perpendicular distance from the edge
+    to the line.  It is negative when the line crosses the wall plane x = 0
+    beyond the edge, away from the window centre, where the wall blocks it.
+    """
+    dx, dy = ms_x - bs_x, ms_y - bs_y
+    perp = abs(dx * (edge_y - bs_y) - dy * (0.0 - bs_x)) / math.hypot(dx, dy)
+    y_cross = bs_y + dy * (0.0 - bs_x) / dx
+    blocked = math.copysign(1.0, edge_y) * (y_cross - edge_y) > 0.0
+    return -perp if blocked else perp
+
+
 def segment_los_fraction(d_a: float, d_n: float, window_width: float,
                          frequency: float, width: float, samples: int = 200001) -> float:
     """LoS fraction over receivers on a segment at depth d_n, zero aspect angle.

@@ -29,7 +29,7 @@ from o2i_los.diffraction import (
 )
 from o2i_los.geometry import SceneGeometry
 from o2i_los.los import GridSpec, critical_frequency, p_los_closed, p_los_grid, p_los_optical
-from o2i_los.sweep import config_echo, emit_csv, parse_config, run_sweep
+from o2i_los.sweep import OUTPUTS, config_echo, emit_csv, parse_config, run_sweep
 
 from oracles import fresnel_grid_by_quadrature, reg_lower_gamma_mp
 
@@ -211,6 +211,10 @@ def _random_valid_config(rng: random.Random) -> str:
          "p_cov", "critical_frequency_hz"],
         rng.randint(0, 3),
     )
+    if outputs and not any(swept in OUTPUTS[name][1] for name in outputs):
+        # A sweep no output reads is rejected; add the first output that
+        # reads it, without a draw, so the other configs stay as they were.
+        outputs.append(next(name for name, (_, reads) in OUTPUTS.items() if swept in reads))
     lines.append(f"outputs={','.join(outputs)}")
     lines.append(f"oracle_n={rng.randint(10, 2000)}")
     lines.append(f"seed={rng.randint(0, 2**31)}")

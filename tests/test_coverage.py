@@ -118,6 +118,11 @@ class TestRegularizedGamma:
                     reg_upper_gamma_mp(m, x), abs=1e-12
                 )
 
+    def test_non_convergence_raises(self):
+        # the series needs more than its 800 terms here; scipy gives 0.4996
+        with pytest.raises(ValueError, match="did not converge"):
+            reg_upper_gamma(1e5, 1e5)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             reg_lower_gamma(0.0, 1.0)

@@ -3,17 +3,20 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from o2i_los.diffraction import wavelength
 from o2i_los.geometry import (
     CORNER_RAY_ANGLE,
     Point2D,
     SceneGeometry,
     bs_position,
     bs_to_window_distance,
-    intrusion_distance,
-    path_decomposition,
-    window_edges,
     window_to_far_wall_distance,
 )
+from o2i_los.los import clearances
+
+from oracles import edge_clearance
+
+LAM = wavelength(28e9)
 
 
 def scene(room=20.0, window=2.0, dist=5.0, angle=0.0):
@@ -87,80 +90,75 @@ class TestCentralRayDistances:
 
 
 class TestIntrusionDistance:
+    """Signed edge clearances from los.clearances: the window edges' distances from the path."""
+
     def test_clear_edge_above_straight_path(self):
-        got = intrusion_distance(Point2D(-5, 0), Point2D(20, 0), Point2D(0, 1))
-        assert got == pytest.approx(1.0)
+        got = clearances(scene(), 20.0, 0.0, LAM)
+        assert got.upper == pytest.approx(1.0)
+        assert got.lower == pytest.approx(1.0)
 
     def test_edge_on_path(self):
-        assert intrusion_distance(Point2D(-5, 0), Point2D(20, 0), Point2D(0, 0)) == 0.0
+        # line through (-5,0) and (20,-5) passes the lower edge (0,-1)
+        assert clearances(scene(), 20.0, -5.0, LAM).lower == pytest.approx(0.0, abs=1e-12)
 
     def test_collinear_construction(self):
-        # line through (-5,0) and (5,2) passes x=0 at y=1
-        got = intrusion_distance(Point2D(-5, 0), Point2D(5, 2), Point2D(0, 1))
-        assert got == pytest.approx(0.0, abs=1e-12)
+        # line through (-5,0) and (5,2) passes x=0 at y=1, the upper edge
+        assert clearances(scene(), 5.0, 2.0, LAM).upper == pytest.approx(0.0, abs=1e-12)
 
     def test_blocking_edge_is_negative(self):
         # path crosses the wall at y=2, above the upper edge at y=1
-        got = intrusion_distance(Point2D(-5, 0), Point2D(5, 4), Point2D(0, 1))
-        assert got < 0
+        got = clearances(scene(), 5.0, 4.0, LAM)
+        assert got.upper < 0
         # while the lower edge at y=-1 stays clear
-        assert intrusion_distance(Point2D(-5, 0), Point2D(5, 4), Point2D(0, -1)) > 0
-
-    def test_coincident_endpoints(self):
-        with pytest.raises(ValueError, match="coincident endpoints"):
-            intrusion_distance(Point2D(1, 1), Point2D(1, 1), Point2D(0, 0))
+        assert got.lower > 0
 
     @given(
-        st.floats(-50, -0.1), st.floats(-20, 20),
-        st.floats(0.1, 50), st.floats(-20, 20),
-        st.floats(-10, -0.01) | st.floats(0.01, 10),
+        room=st.floats(1.0, 100.0), window_share=st.floats(0.01, 1.0),
+        dist=st.floats(0.1, 100.0), deg=st.floats(-89.0, 89.0),
+        x_share=st.floats(1e-3, 1.0), y_share=st.floats(-0.5, 0.5),
     )
-    def test_swap_invariance(self, bx, by, mx, my, ey):
-        bs, ms, edge = Point2D(bx, by), Point2D(mx, my), Point2D(0.0, ey)
-        forward = intrusion_distance(bs, ms, edge)
-        backward = intrusion_distance(ms, bs, edge)
-        assert abs(forward) == pytest.approx(abs(backward), rel=1e-9, abs=1e-12)
-        assert forward == pytest.approx(backward, rel=1e-9, abs=1e-12)
+    def test_matches_cross_product_reference(self, room, window_share, dist, deg, x_share, y_share):
+        sc = scene(room=room, window=room * window_share, dist=dist, angle=math.radians(deg))
+        bs = bs_position(sc)
+        x, y = room * x_share, room * y_share
+        got = clearances(sc, x, y, LAM)
+        half = sc.window_width / 2.0
+        assert got.lower == pytest.approx(edge_clearance(bs.x, bs.y, x, y, -half), abs=1e-9 * room)
+        assert got.upper == pytest.approx(edge_clearance(bs.x, bs.y, x, y, half), abs=1e-9 * room)
 
 
 class TestPathDecomposition:
+    """The path split at the wall plane by los.clearances: crossing, d1 and d2."""
+
     def test_straight_path(self):
-        dec = path_decomposition(Point2D(-5, 0), Point2D(20, 0))
-        assert dec.crossing == Point2D(0.0, 0.0)
-        assert dec.d1 == pytest.approx(5.0)
-        assert dec.d2 == pytest.approx(20.0)
+        got = clearances(scene(), 20.0, 0.0, LAM)
+        assert got.crossing_y == 0.0
+        assert got.d1 == pytest.approx(5.0)
+        assert got.d2 == pytest.approx(20.0)
 
     def test_diagonal_similar_triangles(self):
-        dec = path_decomposition(Point2D(-5, -5), Point2D(10, 10))
-        assert dec.crossing.y == pytest.approx(0.0, abs=1e-12)
-        assert dec.d1 == pytest.approx(5 * math.sqrt(2))
-        assert dec.d2 == pytest.approx(10 * math.sqrt(2))
+        # base station at (-5, -5)
+        got = clearances(scene(angle=math.radians(45)), 10.0, 10.0, LAM)
+        assert got.crossing_y == pytest.approx(0.0, abs=1e-12)
+        assert got.d1 == pytest.approx(5 * math.sqrt(2))
+        assert got.d2 == pytest.approx(10 * math.sqrt(2))
 
     def test_interpolated_crossing(self):
-        dec = path_decomposition(Point2D(-5, 0), Point2D(15, 10))
-        assert dec.crossing.y == pytest.approx(2.5)
-        assert dec.d1 == pytest.approx(5.5902, abs=1e-4)
-        assert dec.d2 == pytest.approx(16.7705, abs=1e-4)
-
-    def test_parallel_path_rejected(self):
-        with pytest.raises(ValueError, match="no wall crossing"):
-            path_decomposition(Point2D(-5, 0), Point2D(-5, 10))
-
-    def test_non_crossing_segment_rejected(self):
-        with pytest.raises(ValueError, match="no wall crossing"):
-            path_decomposition(Point2D(-5, 0), Point2D(-1, 3))
+        got = clearances(scene(), 15.0, 10.0, LAM)
+        assert got.crossing_y == pytest.approx(2.5)
+        assert got.d1 == pytest.approx(5.5902, abs=1e-4)
+        assert got.d2 == pytest.approx(16.7705, abs=1e-4)
 
     @given(
-        st.floats(-80, -0.01), st.floats(-40, 40),
-        st.floats(0.01, 80), st.floats(-40, 40),
+        st.floats(-1.5, 1.5), st.floats(0.01, 80), st.floats(0.01, 40), st.floats(-20, 20),
     )
-    def test_collinear_split(self, bx, by, mx, my):
-        bs, ms = Point2D(bx, by), Point2D(mx, my)
-        dec = path_decomposition(bs, ms)
-        assert dec.d1 + dec.d2 == pytest.approx(math.hypot(mx - bx, my - by), rel=1e-12)
+    def test_collinear_split(self, angle, dist, mx, my):
+        sc = scene(room=40.0, dist=dist, angle=angle)
+        bs = bs_position(sc)
+        got = clearances(sc, mx, my, LAM)
+        assert got.d1 + got.d2 == pytest.approx(math.hypot(mx - bs.x, my - bs.y), rel=1e-12)
 
 
 def test_window_edges():
-    lower, upper = window_edges(scene(window=3.0))
-    assert lower == Point2D(0.0, -1.5)
-    assert upper == Point2D(0.0, 1.5)
+    got = clearances(scene(window=3.0), 20.0, 0.0, LAM)
+    assert got.lower == got.upper == 1.5

@@ -229,14 +229,14 @@ class TestPLosGrid:
         lam = (1.0 / LOS_CLEARANCE_RATIO) ** 2 * (depth + 5.0) / (5.0 * depth)
         frequency = SPEED_OF_LIGHT / lam
         dense_columns = []
-        clearance = los._clearance
+        clearances = los.clearances
 
-        def spy(bs, half_window, wavelength_m, x, y):
+        def spy(sc, x, y, wavelength_m):
             if np.ndim(x) == 2:
                 dense_columns.extend(np.ravel(x))
-            return clearance(bs, half_window, wavelength_m, x, y)
+            return clearances(sc, x, y, wavelength_m)
 
-        monkeypatch.setattr(los, "_clearance", spy)
+        monkeypatch.setattr(los, "clearances", spy)
         got = p_los_grid(scene(), frequency, GridSpec(n))
         assert dense_columns == [depth]
         assert got == dense_los_count(20.0, 2.0, 5.0, 0.0, frequency, n) / n**2

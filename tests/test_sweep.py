@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from o2i_los.cli import main
+from o2i_los.coverage import LinkBudget, mean_snr
 from o2i_los.diffraction import SPEED_OF_LIGHT, free_space_path_loss_db
 from o2i_los.sweep import (
+    MAX_ORACLE_N,
+    MAX_POINTS,
+    OUTPUTS,
     ConfigError,
     SweepRuntimeError,
     SweepSpec,
@@ -86,6 +90,36 @@ class TestParseConfig:
     def test_unknown_output(self):
         with pytest.raises(ConfigError, match="unknown output 'p_marginal'"):
             parse_config("sweep=theta_deg\nstart=0\nstop=1\nstep=1\noutputs=p_marginal")
+
+    def test_sweep_no_output_reads_rejected(self):
+        with pytest.raises(ConfigError, match="swept key 'theta_deg'"):
+            parse_config("sweep=theta_deg\nstart=0\nstop=10\nstep=5\noutputs=p_los_optical")
+
+    def test_sweep_read_by_one_output_accepted(self):
+        # p_los_optical ignores the frequency; p_los_closed reads it
+        spec = parse_config(
+            "sweep=frequency_hz\nstart=1e9\nstop=2e9\nstep=1e9\n"
+            "outputs=p_los_closed,p_los_optical"
+        )
+        assert spec.outputs == ("p_los_closed", "p_los_optical")
+
+    @pytest.mark.parametrize("sweep_range", [
+        "start=0\nstop=100000\nstep=1",  # 100001 points
+        "start=0\nstop=1\nstep=1e-300",  # about 1e300 points
+        "start=-1e308\nstop=1e308\nstep=1",  # the span overflows to inf
+    ])
+    def test_point_cap(self, sweep_range):
+        with pytest.raises(ConfigError, match=f"more than {MAX_POINTS} points"):
+            parse_config(f"sweep=theta_deg\n{sweep_range}\noutputs=")
+
+    def test_point_cap_is_inclusive(self):
+        assert parse_config("sweep=theta_deg\nstart=0\nstop=99999\nstep=1\noutputs=")
+
+    def test_oracle_n_cap(self):
+        base = "sweep=theta_deg\nstart=0\nstop=1\nstep=1\noracle_n="
+        assert parse_config(base + str(MAX_ORACLE_N)).oracle_n == MAX_ORACLE_N
+        with pytest.raises(ConfigError, match=f"between 10 and {MAX_ORACLE_N}"):
+            parse_config(base + str(MAX_ORACLE_N + 1))
 
     def test_bad_assignment_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -183,8 +217,11 @@ class TestGoldenResults:
         assert target.read_bytes() == (ROOT / "results" / target.name).read_bytes()
 
 
-valid_specs = st.builds(
-    SweepSpec,
+def _read_by_outputs(fields) -> bool:
+    return not fields["outputs"] or any(fields["swept"] in OUTPUTS[o][1] for o in fields["outputs"])
+
+
+valid_specs = st.fixed_dictionaries(dict(
     swept=st.sampled_from(["theta_deg", "frequency_hz", "window_m", "room_m",
                            "bs_distance_m", "delta_over_rd"]),
     start=st.floats(-50.0, 0.0),
@@ -198,7 +235,7 @@ valid_specs = st.builds(
     ).map(tuple),
     oracle_n=st.integers(10, 2000),
     seed=st.integers(-(2**31), 2**31),
-)
+)).filter(_read_by_outputs).map(lambda fields: SweepSpec(**fields))
 
 
 class TestRoundTrip:
@@ -244,6 +281,16 @@ class TestCli:
         assert main(["sweep", "--config", cfg]) == 2
         assert "window exceeds room" in capsys.readouterr().err
 
+    def test_sweep_no_output_reads_exit_2(self, tmp_path, capsys):
+        # p_cov is evaluated at zero aspect angle and ignores theta_deg
+        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=-60\nstop=60\nstep=30\noutputs=p_cov\n")
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "theta_deg" in capsys.readouterr().err
+
+    def test_oracle_n_override_capped_exit_2(self, tmp_path):
+        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\n")
+        assert main(["sweep", "--config", cfg, "--oracle-n", str(MAX_ORACLE_N + 1)]) == 2
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -251,6 +298,16 @@ class TestCli:
         cfg = self.write(tmp_path, "sweep=theta_deg\nstart=85\nstop=95\nstep=5\n")
         assert main(["sweep", "--config", cfg]) == 3
         assert "theta_deg=90.0" in capsys.readouterr().err
+
+    def test_gamma_non_convergence_exit_3(self, tmp_path, capsys):
+        # threshold at the mean LoS SNR of the 25 m ring: Q(1e5, 1e5) does not converge
+        snr = mean_snr(25.0, 1.2, LinkBudget(frequency=28e9))
+        cfg = self.write(tmp_path, (
+            "sweep=bs_distance_m\nstart=5\nstop=6\nstep=1\noutputs=p_cov\n"
+            f"m_los=1e5\nsnr_threshold_db={10 * math.log10(snr)!r}\n"
+        ))
+        assert main(["sweep", "--config", cfg]) == 3
+        assert "did not converge" in capsys.readouterr().err
 
     def test_critical_freq(self, capsys):
         assert main(["critical-freq", "--window-m", "2", "--bs-distance-m", "5",
