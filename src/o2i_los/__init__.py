@@ -58,51 +58,3 @@ from .sweep import (
     parse_config,
     run_sweep,
 )
-
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "CORNER_RAY_ANGLE",
-    "LOS_CLEARANCE_RATIO",
-    "Point2D",
-    "SceneGeometry",
-    "FresnelValue",
-    "GridSpec",
-    "LosEvaluation",
-    "Clearances",
-    "FadingModel",
-    "LinkBudget",
-    "CoverageResult",
-    "SweepSpec",
-    "RunRecord",
-    "ConfigError",
-    "SweepRuntimeError",
-    "bs_position",
-    "bs_to_window_distance",
-    "window_to_far_wall_distance",
-    "wavelength",
-    "fresnel_integrals",
-    "diffraction_parameter",
-    "ked_excess_loss_db",
-    "free_space_path_loss_db",
-    "fresnel_radius",
-    "total_path_loss_db",
-    "los_half_angle",
-    "p_los_closed",
-    "p_los_optical",
-    "critical_frequency",
-    "clearances",
-    "is_los",
-    "p_los_grid",
-    "evaluate",
-    "mean_snr",
-    "p_los_at_distance",
-    "reg_lower_gamma",
-    "reg_upper_gamma",
-    "nakagami_ccdf",
-    "coverage_probability",
-    "coverage_mc_oracle",
-    "parse_config",
-    "run_sweep",
-    "config_echo",
-    "emit_csv",
-]

@@ -15,7 +15,7 @@ from pathlib import Path
 from .diffraction import wavelength
 from .geometry import Point2D, SceneGeometry
 from .los import LOS_CLEARANCE_RATIO, clearances, critical_frequency, is_los
-from .sweep import ConfigError, SweepRuntimeError, emit_csv, parse_config, run_sweep
+from .sweep import ConfigError, emit_csv, parse_config, run_sweep
 
 
 def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
@@ -116,9 +116,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except SweepRuntimeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -28,8 +28,8 @@ class FadingModel:
     n_nlos: float = 2.9
 
     def __post_init__(self):
-        if self.m_los < 0.5 or self.m_nlos < 0.5:
-            raise ValueError("Nakagami shape must be at least 0.5")
+        if not (0.5 <= self.m_los < math.inf and 0.5 <= self.m_nlos < math.inf):
+            raise ValueError("Nakagami shape must be finite and at least 0.5")
         for n in (self.n_los, self.n_nlos):
             if not 0.5 < n < 6.0:
                 raise ValueError("path-loss exponent must lie in (0.5, 6)")
@@ -43,10 +43,12 @@ class LinkBudget:
     snr_threshold_db: float = -5.0
 
     def __post_init__(self):
-        if not self.frequency > 0:
-            raise ValueError("frequency must be positive")
-        if not self.noise_floor_dbm < self.tx_power_dbm:
-            raise ValueError("noise floor must be below transmit power")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError("frequency must be positive and finite")
+        if not -math.inf < self.noise_floor_dbm < self.tx_power_dbm < math.inf:
+            raise ValueError("noise floor must be below transmit power, both finite")
+        if not -math.inf < self.snr_threshold_db < math.inf:
+            raise ValueError("SNR threshold must be finite")
 
 
 @dataclass(frozen=True)
@@ -66,29 +68,19 @@ def mean_snr(d: float, exponent: float, budget: LinkBudget) -> float:
     return gain * 10.0 ** ((budget.tx_power_dbm - budget.noise_floor_dbm) / 10.0)
 
 
-def p_los_at_distance(
-    d_a: float,
-    d_n: float,
-    window_width: float,
-    frequency: float,
-    segment_width: float | None = None,
-) -> float:
+def p_los_at_distance(d_a: float, d_n: float, window_width: float, frequency: float) -> float:
     """LoS fraction of receivers on a segment at depth d_n, zero aspect angle.
 
-    The LoS span on the segment is the window aperture left after the edge
-    clearance, projected from standoff d_a out to depth d_n.  The segment
-    width defaults to d_n.
+    The segment is d_n wide.  The LoS span on it is the window aperture left
+    after the edge clearance, projected from standoff d_a out to depth d_n.
     """
     if not (d_a > 0 and d_n > 0 and window_width > 0):
         raise ValueError("d_a, d_n and window_width must be positive")
-    width = d_n if segment_width is None else segment_width
-    if not width > 0:
-        raise ValueError("segment width must be positive")
     rd = fresnel_radius(d_a, d_n, wavelength(frequency))
     aperture = window_width - 2.0 * LOS_CLEARANCE_RATIO * rd
     if aperture <= 0.0:
         return 0.0
-    return min((d_a + d_n) * aperture / (d_a * width), 1.0)
+    return min((d_a + d_n) * aperture / (d_a * d_n), 1.0)
 
 
 def _gamma_p_series(m: float, x: float) -> float:
@@ -103,8 +95,7 @@ def _gamma_p_series(m: float, x: float) -> float:
             break
     else:
         raise ValueError(f"incomplete gamma series did not converge at m={m!r}, x={x!r}")
-    exponent = -x + m * math.log(x) - math.lgamma(m)
-    return total * math.exp(exponent) if exponent > -745.0 else 0.0
+    return total
 
 
 def _gamma_q_continued_fraction(m: float, x: float) -> float:
@@ -131,33 +122,34 @@ def _gamma_q_continued_fraction(m: float, x: float) -> float:
         raise ValueError(
             f"incomplete gamma continued fraction did not converge at m={m!r}, x={x!r}"
         )
-    exponent = -x + m * math.log(x) - math.lgamma(m)
-    return h * math.exp(exponent) if exponent > -745.0 else 0.0
+    return h
 
 
-def reg_lower_gamma(m: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(m, x).
+def _reg_gamma(m: float, x: float) -> tuple[float, float]:
+    """Regularized incomplete gammas (P(m, x), Q(m, x)), P + Q = 1.
 
-    Power series for x < m + 1, continued fraction beyond.
+    Power series for P when x < m + 1, continued fraction for Q beyond;
+    the other one is 1 minus it.
     """
     if not m > 0 or x < 0:
         raise ValueError("require m > 0 and x >= 0")
     if x == 0.0:
-        return 0.0
-    if x < m + 1.0:
-        return _gamma_p_series(m, x)
-    return 1.0 - _gamma_q_continued_fraction(m, x)
+        return 0.0, 1.0
+    series = x < m + 1.0
+    total = _gamma_p_series(m, x) if series else _gamma_q_continued_fraction(m, x)
+    exponent = -x + m * math.log(x) - math.lgamma(m)
+    part = total * math.exp(exponent) if exponent > -745.0 else 0.0
+    return (part, 1.0 - part) if series else (1.0 - part, part)
+
+
+def reg_lower_gamma(m: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(m, x)."""
+    return _reg_gamma(m, x)[0]
 
 
 def reg_upper_gamma(m: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(m, x) = 1 - P(m, x)."""
-    if not m > 0 or x < 0:
-        raise ValueError("require m > 0 and x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < m + 1.0:
-        return 1.0 - _gamma_p_series(m, x)
-    return _gamma_q_continued_fraction(m, x)
+    return _reg_gamma(m, x)[1]
 
 
 def nakagami_ccdf(m: float, mean_snr: float, threshold: float) -> float:

@@ -31,31 +31,33 @@ def wavelength(frequency: float) -> float:
 
 
 def _fresnel_series(x: float) -> tuple[float, float]:
-    # Maclaurin series of the defining integrals; a handful of terms
-    # suffice below the cutoff.
+    # Maclaurin series of the defining integrals; at most 14 terms below
+    # the cutoff.  The test is <= so that x = 0 and subnormal x, whose
+    # terms are all zero, stop at the first term.
     t = 0.5 * math.pi * x * x
     mt2 = -t * t
     num_c = x
     num_s = x * t
     c = num_c
     s = num_s / 3.0
-    k = 0
-    while k < 100:
-        num_c *= mt2 / ((2 * k + 1) * (2 * k + 2))
-        num_s *= mt2 / ((2 * k + 2) * (2 * k + 3))
-        k += 1
+    for k in range(1, _MAX_ITER):
+        num_c *= mt2 / ((2 * k - 1) * (2 * k))
+        num_s *= mt2 / ((2 * k) * (2 * k + 1))
         dc = num_c / (4 * k + 1)
         ds = num_s / (4 * k + 3)
         c += dc
         s += ds
-        if abs(dc) + abs(ds) < _EPS * (abs(c) + abs(s)):
+        if abs(dc) + abs(ds) <= _EPS * (abs(c) + abs(s)):
             break
+    else:
+        raise ValueError(f"Fresnel series did not converge at v={x!r}")
     return c, s
 
 
 def _fresnel_continued_fraction(x: float) -> tuple[float, float]:
     # Modified Lentz evaluation of the continued fraction for the complex
-    # error function of (1-j)*sqrt(pi)/2*x, which carries both integrals.
+    # error function of (1-j)*sqrt(pi)/2*x, which carries both integrals;
+    # at most 47 iterations above the cutoff.
     pix2 = math.pi * x * x
     b = complex(1.0, -pix2)
     cc = complex(1e300, 0.0)
@@ -72,6 +74,8 @@ def _fresnel_continued_fraction(x: float) -> tuple[float, float]:
         h *= delta
         if abs(delta.real - 1.0) + abs(delta.imag) < _EPS:
             break
+    else:
+        raise ValueError(f"Fresnel continued fraction did not converge at v={x!r}")
     h *= complex(x, -x)
     phase = complex(math.cos(0.5 * pix2), math.sin(0.5 * pix2))
     cs = complex(0.5, 0.5) * (1.0 - phase * h)

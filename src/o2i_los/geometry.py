@@ -42,12 +42,12 @@ class SceneGeometry:
     bs_angle: float = 0.0
 
     def __post_init__(self):
-        if not self.room_side > 0:
-            raise ValueError("room_side must be positive")
-        if not self.window_width > 0:
-            raise ValueError("window_width must be positive")
-        if not self.bs_distance > 0:
-            raise ValueError("bs_distance must be positive")
+        if not 0 < self.room_side < math.inf:
+            raise ValueError("room_side must be positive and finite")
+        if not 0 < self.window_width < math.inf:
+            raise ValueError("window_width must be positive and finite")
+        if not 0 < self.bs_distance < math.inf:
+            raise ValueError("bs_distance must be positive and finite")
         if self.window_width > self.room_side:
             raise ValueError("window exceeds room")
         if not abs(self.bs_angle) < math.pi / 2:

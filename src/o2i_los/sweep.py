@@ -23,8 +23,8 @@ class ConfigError(Exception):
     """Invalid configuration document."""
 
 
-class SweepRuntimeError(Exception):
-    """Domain error while evaluating a sweep point."""
+class SweepRuntimeError(ValueError):
+    """Domain error while evaluating a sweep point; the CLI exits 3 on any ValueError."""
 
 
 _NUMERIC_DEFAULTS = {
@@ -107,9 +107,7 @@ class SweepSpec:
 @dataclass
 class RunRecord:
     spec: SweepSpec
-    columns: tuple[str, ...]
     rows: list[tuple[float, ...]]
-    version: str
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -265,8 +263,6 @@ def parse_config(text: str) -> SweepSpec:
 
 def run_sweep(spec: SweepSpec) -> RunRecord:
     """Evaluate every requested output at every sweep point."""
-    from . import __version__
-
     rows: list[tuple[float, ...]] = []
     for value in spec.values():
         point = dict(spec.fixed)
@@ -276,12 +272,7 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
         except ValueError as err:
             raise SweepRuntimeError(f"at {spec.swept}={value!r}: {err}") from err
         rows.append((value,) + row)
-    return RunRecord(
-        spec=spec,
-        columns=(spec.swept,) + spec.outputs,
-        rows=rows,
-        version=__version__,
-    )
+    return RunRecord(spec=spec, rows=rows)
 
 
 def config_echo(spec: SweepSpec) -> list[str]:
@@ -301,9 +292,11 @@ def config_echo(spec: SweepSpec) -> list[str]:
 
 def emit_csv(record: RunRecord, stream: TextIO) -> None:
     """Write the echo header, column names, and one row per sweep point."""
-    stream.write(f"# o2i-los {record.version}\n")
+    from . import __version__
+
+    stream.write(f"# o2i-los {__version__}\n")
     for line in config_echo(record.spec):
         stream.write(f"# {line}\n")
-    stream.write(",".join(record.columns) + "\n")
+    stream.write(",".join((record.spec.swept,) + record.spec.outputs) + "\n")
     for row in record.rows:
         stream.write(",".join(repr(value) for value in row) + "\n")

@@ -41,16 +41,28 @@ class TestConfigTypes:
         assert link.snr_threshold_db == -5.0
 
     def test_invalid_shape(self):
-        with pytest.raises(ValueError):
-            FadingModel(m_nlos=0.2)
+        for kwargs in [dict(m_nlos=0.2), dict(m_los=math.nan), dict(m_nlos=math.inf)]:
+            with pytest.raises(ValueError):
+                FadingModel(**kwargs)
 
     def test_invalid_exponent(self):
-        with pytest.raises(ValueError):
-            FadingModel(n_nlos=7.0)
+        for kwargs in [dict(n_nlos=7.0), dict(n_los=math.nan)]:
+            with pytest.raises(ValueError):
+                FadingModel(**kwargs)
 
     def test_noise_above_tx_rejected(self):
         with pytest.raises(ValueError):
             LinkBudget(frequency=F_28, tx_power_dbm=-10.0, noise_floor_dbm=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(frequency=math.inf), dict(frequency=math.nan), dict(tx_power_dbm=math.inf),
+        dict(tx_power_dbm=math.nan), dict(noise_floor_dbm=-math.inf),
+        dict(noise_floor_dbm=math.nan), dict(snr_threshold_db=math.nan),
+        dict(snr_threshold_db=math.inf), dict(snr_threshold_db=-math.inf),
+    ])
+    def test_nonfinite_budget_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            LinkBudget(**{"frequency": F_28, **kwargs})
 
 
 class TestMeanSnr:
@@ -102,10 +114,6 @@ class TestPLosAtDistance:
     def test_clamped(self):
         assert p_los_at_distance(2.0, 20.0, 5.0, F_28) == 1.0
 
-    def test_explicit_segment_width(self):
-        narrow = p_los_at_distance(5, 20, 2, F_28, segment_width=40.0)
-        assert narrow == pytest.approx(p_los_at_distance(5, 20, 2, F_28) / 2, rel=1e-12)
-
 
 class TestRegularizedGamma:
     def test_against_mpmath_grid(self):
@@ -128,6 +136,14 @@ class TestRegularizedGamma:
             reg_lower_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             reg_lower_gamma(1.0, -1.0)
+
+    @given(st.floats(0.5, 1e3), st.floats(0.0, 2e3))
+    def test_complement_is_exact(self, m, x):
+        # one of P and Q is computed, and the other is exactly 1 minus it
+        if x < m + 1.0:
+            assert reg_upper_gamma(m, x) == 1.0 - reg_lower_gamma(m, x)
+        else:
+            assert reg_lower_gamma(m, x) == 1.0 - reg_upper_gamma(m, x)
 
     @given(st.floats(0.5, 20.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
     def test_monotone_in_x(self, m, x1, x2):

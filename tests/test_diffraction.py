@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from o2i_los import diffraction
 from o2i_los.diffraction import (
     SPEED_OF_LIGHT,
     diffraction_parameter,
@@ -31,6 +32,18 @@ LAMBDA_28GHZ = SPEED_OF_LIGHT / 28e9
 class TestFresnelIntegrals:
     def test_zero(self):
         assert fresnel_integrals(0.0) == (0.0, 0.0)
+
+    def test_zero_and_subnormal_stop_at_first_term(self, monkeypatch):
+        monkeypatch.setattr(diffraction, "_MAX_ITER", 2)
+        assert fresnel_integrals(0.0) == (0.0, 0.0)
+        assert fresnel_integrals(1e-310) == (1e-310, 0.0)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(diffraction, "_MAX_ITER", 5)
+        with pytest.raises(ValueError, match="continued fraction did not converge"):
+            fresnel_integrals(2.0)
+        with pytest.raises(ValueError, match="series did not converge"):
+            fresnel_integrals(1.0)
 
     @pytest.mark.parametrize("v", [50.1, 100.0, 1e3, 1e4, -50.1, -100.0, -1e3, -1e4])
     def test_large_argument_matches_scipy(self, v):

@@ -32,6 +32,8 @@ class TestSceneGeometry:
     @pytest.mark.parametrize("kwargs", [
         dict(room=-1.0), dict(window=0.0), dict(dist=0.0),
         dict(angle=math.pi / 2), dict(angle=-2.0),
+        dict(room=math.inf), dict(room=math.nan), dict(window=math.nan),
+        dict(dist=math.inf), dict(dist=math.nan), dict(angle=math.nan),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):

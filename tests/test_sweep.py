@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from o2i_los import diffraction
 from o2i_los.cli import main
 from o2i_los.coverage import LinkBudget, mean_snr
 from o2i_los.diffraction import SPEED_OF_LIGHT, free_space_path_loss_db
@@ -309,6 +311,14 @@ class TestCli:
         assert main(["sweep", "--config", cfg]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_fresnel_non_convergence_exit_3(self, tmp_path, capsys, monkeypatch):
+        # |v| = 2.8 takes the continued fraction, which needs more than 5 iterations
+        monkeypatch.setattr(diffraction, "_MAX_ITER", 5)
+        cfg = self.write(tmp_path, "sweep=delta_over_rd\nstart=-2\nstop=2\nstep=4\n"
+                                   "outputs=path_loss_db\n")
+        assert main(["sweep", "--config", cfg]) == 3
+        assert "Fresnel continued fraction did not converge" in capsys.readouterr().err
+
     def test_critical_freq(self, capsys):
         assert main(["critical-freq", "--window-m", "2", "--bs-distance-m", "5",
                      "--room-m", "20"]) == 0
@@ -335,7 +345,7 @@ class TestCli:
         cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\noutputs=\n")
         result = subprocess.run(
             [sys.executable, "-m", "o2i_los", "sweep", "--config", cfg],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert result.returncode == 0
         assert result.stdout.startswith("# o2i-los")
