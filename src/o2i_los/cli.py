@@ -7,23 +7,15 @@ Exit codes: 0 on success, 2 for config errors, 3 for runtime domain errors,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .diffraction import wavelength
-from .geometry import Point2D, SceneGeometry
+from .geometry import Point2D
 from .los import LOS_CLEARANCE_RATIO, clearances, critical_frequency, is_los
-from .sweep import ConfigError, emit_csv, parse_config, run_sweep
-
-
-def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window-m", type=float, default=2.0)
-    parser.add_argument("--room-m", type=float, default=20.0)
-    parser.add_argument("--bs-distance-m", type=float, default=5.0)
-    parser.add_argument("--theta-deg", type=float, default=0.0)
-    parser.add_argument("--frequency-hz", type=float, default=28e9)
+from .sweep import (
+    _NUMERIC_DEFAULTS, _SCENE_KEYS, ConfigError, _scene_from, emit_csv, parse_config, run_sweep,
+)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -31,12 +23,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         text = Path(args.config).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
-    spec = parse_config(text)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.oracle_n is not None:
-        spec = replace(spec, oracle_n=args.oracle_n)
-    record = run_sweep(spec)
+    record = run_sweep(parse_config(text))
     if args.out is None:
         emit_csv(record, sys.stdout)
         return 0
@@ -60,12 +47,7 @@ def _cmd_critical_freq(args: argparse.Namespace) -> int:
 
 def _cmd_los_point(args: argparse.Namespace) -> int:
     try:
-        scene = SceneGeometry(
-            room_side=args.room_m,
-            window_width=args.window_m,
-            bs_distance=args.bs_distance_m,
-            bs_angle=math.radians(args.theta_deg),
-        )
+        scene = _scene_from(vars(args))
     except ValueError as err:
         raise ConfigError(str(err)) from err
     verdict = is_los(scene, Point2D(args.ms_x, args.ms_y), args.frequency_hz)
@@ -91,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", default=None)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--oracle-n", type=int, default=None)
     sweep.set_defaults(func=_cmd_sweep)
 
     crit = sub.add_parser("critical-freq", help="print the critical frequency in Hz")
@@ -104,7 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     point = sub.add_parser("los-point", help="LoS verdict and clearances for one receiver")
     point.add_argument("--ms-x", type=float, required=True)
     point.add_argument("--ms-y", type=float, required=True)
-    _add_scene_flags(point)
+    # Scene flags take the sweep config's keys and defaults; dest == key.
+    for key in (*_SCENE_KEYS, "frequency_hz"):
+        flag = "--" + key.replace("_", "-")
+        point.add_argument(flag, type=float, default=_NUMERIC_DEFAULTS[key])
     point.set_defaults(func=_cmd_los_point)
     return parser
 

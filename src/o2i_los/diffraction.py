@@ -25,8 +25,8 @@ class FresnelValue(NamedTuple):
 
 def wavelength(frequency: float) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""
-    if not frequency > 0:
-        raise ValueError("frequency must be positive")
+    if not 0 < frequency < math.inf:
+        raise ValueError("frequency must be positive and finite")
     return SPEED_OF_LIGHT / frequency
 
 

@@ -25,6 +25,7 @@ the exact predicate per column; a column whose best margin lies within
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,8 +56,8 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 10:
-            raise ValueError("grid must be at least 10 x 10")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 10):
+            raise ValueError("grid n must be an integer of at least 10")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,6 @@ def los_half_angle(scene: SceneGeometry, wavelength_m: float) -> float:
     Floored at zero: below the critical frequency the Fresnel clearance
     consumes the whole window and no LoS wedge exists.
     """
-    if not wavelength_m > 0:
-        raise ValueError("wavelength must be positive")
     rd = fresnel_radius(
         bs_to_window_distance(scene), window_to_far_wall_distance(scene), wavelength_m
     )
@@ -119,8 +118,10 @@ def critical_frequency(window_width: float, bs_distance: float, room_side: float
     Solves for the wavelength at which the required edge clearance exactly
     consumes the window aperture.
     """
-    if not (window_width > 0 and bs_distance > 0 and room_side > 0):
-        raise ValueError("window_width, bs_distance and room_side must be positive")
+    if not all(0 < v < math.inf for v in (window_width, bs_distance, room_side)):
+        raise ValueError("window_width, bs_distance and room_side must be positive and finite")
+    if window_width > room_side:
+        raise ValueError("window exceeds room")
     ratio = 2.0 * LOS_CLEARANCE_RATIO
     critical_wavelength = (window_width / ratio) ** 2 * (1.0 / bs_distance + 1.0 / room_side)
     return SPEED_OF_LIGHT / critical_wavelength

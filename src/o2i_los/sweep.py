@@ -225,14 +225,11 @@ def parse_config(text: str) -> SweepSpec:
 
     # Surface fixed-value invariant violations before complaining about a
     # missing sweep range; values of the swept parameter are checked per
-    # point at run time instead.
-    if swept not in _SCENE_KEYS:
-        try:
-            _scene_from(numeric)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+    # point at run time instead, and a swept frequency_hz holds its
+    # positive default here.
     try:
-        # A swept frequency_hz holds its positive default here.
+        if swept not in _SCENE_KEYS:
+            _scene_from(numeric)
         _fading_from(numeric)
         _budget_from(numeric)
     except ValueError as err:
@@ -244,20 +241,17 @@ def parse_config(text: str) -> SweepSpec:
         if key not in raw:
             raise ConfigError(f"missing key '{key}'")
 
-    outputs: tuple[str, ...] = ("p_los_closed",)
+    # Settings the file leaves out take SweepSpec's field defaults.
+    settings = {key: _parse_int(key, raw[key]) for key in _INT_KEYS if key in raw}
     if "outputs" in raw:
-        outputs = tuple(part.strip() for part in raw["outputs"].split(",") if part.strip())
-
-    fixed = {key: numeric[key] for key in _NUMERIC_DEFAULTS if key != swept}
+        settings["outputs"] = tuple(p.strip() for p in raw["outputs"].split(",") if p.strip())
     return SweepSpec(
         swept=swept,
         start=_parse_float("start", raw["start"]),
         stop=_parse_float("stop", raw["stop"]),
         step=_parse_float("step", raw["step"]),
-        fixed=fixed,
-        outputs=outputs,
-        oracle_n=_parse_int("oracle_n", raw["oracle_n"]) if "oracle_n" in raw else 500,
-        seed=_parse_int("seed", raw["seed"]) if "seed" in raw else 0,
+        fixed={key: numeric[key] for key in _NUMERIC_DEFAULTS if key != swept},
+        **settings,
     )
 
 

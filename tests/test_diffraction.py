@@ -212,5 +212,6 @@ class TestTotalPathLoss:
 
 def test_wavelength():
     assert wavelength(28e9) == pytest.approx(0.010707, abs=1e-6)
-    with pytest.raises(ValueError):
-        wavelength(0.0)
+    for frequency in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            wavelength(frequency)

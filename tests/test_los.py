@@ -130,8 +130,15 @@ class TestCriticalFrequency:
         assert p_los_closed(scene(), 1.01 * fc) > 0.0
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            critical_frequency(0.0, 5.0, 20.0)
+        for args in [
+            (0.0, 5.0, 20.0),
+            (2.0, math.inf, 20.0),
+            (math.inf, 5.0, math.inf),
+            (2.0, 5.0, math.nan),
+            (30.0, 5.0, 20.0),  # window wider than the room, as every scene rejects
+        ]:
+            with pytest.raises(ValueError):
+                critical_frequency(*args)
 
 
 class TestIsLos:
@@ -247,8 +254,10 @@ class TestPLosGrid:
         assert up == pytest.approx(down, abs=0.005)
 
     def test_grid_too_coarse_rejected(self):
-        with pytest.raises(ValueError, match="at least 10"):
-            GridSpec(5)
+        for n in (5, 10.5, 10.0):
+            with pytest.raises(ValueError, match="at least 10"):
+                GridSpec(n)
+        assert GridSpec(np.int64(10)).n == 10
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-1.2, 1.2), st.floats(1e9, 60e9))

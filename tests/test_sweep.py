@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from o2i_los import diffraction
 from o2i_los.cli import main
 from o2i_los.coverage import LinkBudget, mean_snr
-from o2i_los.diffraction import SPEED_OF_LIGHT, free_space_path_loss_db
+from o2i_los.diffraction import SPEED_OF_LIGHT, free_space_path_loss_db, wavelength
+from o2i_los.geometry import SceneGeometry
+from o2i_los.los import clearances
 from o2i_los.sweep import (
     MAX_ORACLE_N,
     MAX_POINTS,
@@ -267,9 +269,10 @@ class TestCli:
         assert content.startswith("# o2i-los")
         assert "theta_deg,p_los_closed" in content
 
-    def test_seed_and_oracle_overrides_echoed(self, tmp_path, capsys):
-        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\n")
-        assert main(["sweep", "--config", cfg, "--seed", "42", "--oracle-n", "123"]) == 0
+    def test_config_seed_and_oracle_n_echoed(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\n"
+                                   "seed=42\noracle_n=123\n")
+        assert main(["sweep", "--config", cfg]) == 0
         captured = capsys.readouterr().out
         assert "# seed=42" in captured and "# oracle_n=123" in captured
 
@@ -289,17 +292,24 @@ class TestCli:
         assert main(["sweep", "--config", cfg]) == 2
         assert "theta_deg" in capsys.readouterr().err
 
-    def test_oracle_n_override_capped_exit_2(self, tmp_path):
-        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\n")
-        assert main(["sweep", "--config", cfg, "--oracle-n", str(MAX_ORACLE_N + 1)]) == 2
+    def test_config_oracle_n_capped_exit_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\n"
+                                   f"oracle_n={MAX_ORACLE_N + 1}\n")
+        assert main(["sweep", "--config", cfg]) == 2
+        assert f"between 10 and {MAX_ORACLE_N}" in capsys.readouterr().err
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
 
     def test_domain_error_exit_3(self, tmp_path, capsys):
-        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=85\nstop=95\nstep=5\n")
-        assert main(["sweep", "--config", cfg]) == 3
-        assert "theta_deg=90.0" in capsys.readouterr().err
+        for text, message in [
+            ("sweep=theta_deg\nstart=85\nstop=95\nstep=5\n", "theta_deg=90.0"),
+            # windows beyond the 20 m room, rejected like every other scene output
+            ("sweep=window_m\nstart=18\nstop=24\nstep=2\noutputs=critical_frequency_hz\n",
+             "window_m=22.0: window exceeds room"),
+        ]:
+            assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
+            assert message in capsys.readouterr().err
 
     def test_gamma_non_convergence_exit_3(self, tmp_path, capsys):
         # threshold at the mean LoS SNR of the 25 m ring: Q(1e5, 1e5) does not converge
@@ -325,8 +335,9 @@ class TestCli:
         assert float(capsys.readouterr().out) == pytest.approx(431.7e6, rel=1e-3)
 
     def test_critical_freq_invalid(self, capsys):
-        assert main(["critical-freq", "--window-m", "-2", "--bs-distance-m", "5",
-                     "--room-m", "20"]) == 2
+        for window, distance, room in [("-2", "5", "20"), ("2", "inf", "20"), ("30", "5", "20")]:
+            assert main(["critical-freq", "--window-m", window, "--bs-distance-m", distance,
+                         "--room-m", room]) == 2
 
     def test_los_point_diagnostics(self, capsys):
         assert main(["los-point", "--ms-x", "20", "--ms-y", "0"]) == 0
@@ -337,9 +348,35 @@ class TestCli:
         assert float(out["clearance_upper"]) == pytest.approx(1.0, abs=1e-9)
         assert float(out["clearance_threshold"]) == pytest.approx(0.1242, abs=1e-3)
 
+    @pytest.mark.parametrize("flag, value, scene, frequency, ms", [
+        # 25 m deep lies outside the default 20 m room and inside a 30 m one
+        ("--room-m", "30", SceneGeometry(30.0, 2.0, 5.0), 28e9, (25.0, 0.5)),
+        ("--window-m", "4", SceneGeometry(20.0, 4.0, 5.0), 28e9, (15.0, 3.0)),
+        ("--bs-distance-m", "8", SceneGeometry(20.0, 2.0, 8.0), 28e9, (15.0, 3.0)),
+        ("--theta-deg", "30", SceneGeometry(20.0, 2.0, 5.0, math.radians(30.0)), 28e9,
+         (15.0, 3.0)),
+        ("--frequency-hz", "2e9", SceneGeometry(20.0, 2.0, 5.0), 2e9, (15.0, 3.0)),
+    ], ids=["room_m", "window_m", "bs_distance_m", "theta_deg", "frequency_hz"])
+    def test_los_point_scene_flag_reaches_scene(self, flag, value, scene, frequency, ms, capsys):
+        point = ["los-point", "--ms-x", repr(ms[0]), "--ms-y", repr(ms[1])]
+        assert main(point + [flag, value]) == 0
+        printed = capsys.readouterr().out
+        out = dict(line.split("=", 1) for line in printed.splitlines())
+        c = clearances(scene, ms[0], ms[1], wavelength(frequency))
+        assert out["los"] == ("true" if c.los else "false")
+        expected = {"d1": c.d1, "d2": c.d2, "crossing_y": c.crossing_y, "r_d": c.r_d,
+                    "clearance_lower": c.lower, "clearance_upper": c.upper}
+        assert {key: float(out[key]) for key in expected} == expected
+        # the same receiver with every scene flag at its default reads differently
+        assert (main(point), capsys.readouterr().out) != (0, printed)
+
     def test_los_point_outside_room_exit_3(self, capsys):
         assert main(["los-point", "--ms-x", "30", "--ms-y", "0"]) == 3
         assert "MS outside room" in capsys.readouterr().err
+
+    def test_los_point_infinite_frequency_exit_3(self, capsys):
+        assert main(["los-point", "--ms-x", "20", "--ms-y", "0", "--frequency-hz", "inf"]) == 3
+        assert "frequency must be positive and finite" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
         cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\noutputs=\n")
