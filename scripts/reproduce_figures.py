@@ -8,7 +8,7 @@ then a column header, then one row per sweep point.
 import sys
 from pathlib import Path
 
-from o2i_los import critical_frequency, emit_csv, parse_config, run_sweep
+from o2i_los import SceneGeometry, critical_frequency, emit_csv, parse_config, run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,7 +29,7 @@ def main() -> int:
 
     print("\ncritical frequency, 20 m room, base station 5 m out:")
     for window in (1.0, 2.0, 3.0):
-        fc = critical_frequency(window, 5.0, 20.0)
+        fc = critical_frequency(SceneGeometry(20.0, window, 5.0))
         print(f"  {window:.0f} m window: {fc / 1e6:8.1f} MHz")
     return 0
 

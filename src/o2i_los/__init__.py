@@ -17,7 +17,6 @@ from .coverage import (
 )
 from .diffraction import (
     SPEED_OF_LIGHT,
-    FresnelValue,
     diffraction_parameter,
     free_space_path_loss_db,
     fresnel_integrals,
@@ -28,7 +27,6 @@ from .diffraction import (
 )
 from .geometry import (
     CORNER_RAY_ANGLE,
-    Point2D,
     SceneGeometry,
     bs_position,
     bs_to_window_distance,
@@ -42,7 +40,6 @@ from .los import (
     clearances,
     critical_frequency,
     evaluate,
-    is_los,
     los_half_angle,
     p_los_closed,
     p_los_grid,
@@ -51,7 +48,6 @@ from .los import (
 from .sweep import (
     ConfigError,
     RunRecord,
-    SweepRuntimeError,
     SweepSpec,
     config_echo,
     emit_csv,

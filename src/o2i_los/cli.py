@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .diffraction import wavelength
-from .geometry import Point2D
-from .los import LOS_CLEARANCE_RATIO, clearances, critical_frequency, is_los
+from .geometry import SceneGeometry
+from .los import LOS_CLEARANCE_RATIO, clearances, critical_frequency
 from .sweep import (
     _NUMERIC_DEFAULTS, _SCENE_KEYS, ConfigError, _scene_from, emit_csv, parse_config, run_sweep,
 )
@@ -36,23 +36,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_critical_freq(args: argparse.Namespace) -> int:
+def _scene(values: dict[str, float]) -> SceneGeometry:
     try:
-        fc = critical_frequency(args.window_m, args.bs_distance_m, args.room_m)
+        return _scene_from(values)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    print(fc)
+
+
+def _cmd_critical_freq(args: argparse.Namespace) -> int:
+    print(critical_frequency(_scene(dict(vars(args), theta_deg=0.0))))
     return 0
 
 
 def _cmd_los_point(args: argparse.Namespace) -> int:
-    try:
-        scene = _scene_from(vars(args))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    verdict = is_los(scene, Point2D(args.ms_x, args.ms_y), args.frequency_hz)
+    scene = _scene(vars(args))
+    # The wall plane x = 0 is outside: no path crosses the window to it.
+    if not (0.0 < args.ms_x <= scene.room_side and abs(args.ms_y) <= scene.room_side / 2):
+        raise ValueError("MS outside room")
     c = clearances(scene, args.ms_x, args.ms_y, wavelength(args.frequency_hz))
-    print(f"los={'true' if verdict else 'false'}")
+    print(f"los={'true' if c.los else 'false'}")
     print(f"d1={c.d1}")
     print(f"d2={c.d2}")
     print(f"crossing_y={c.crossing_y}")
@@ -99,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -55,8 +55,6 @@ class LinkBudget:
 class CoverageResult:
     p_cov: float
     p_los: float
-    snr_los_db: float
-    snr_nlos_db: float
 
 
 def mean_snr(d: float, exponent: float, budget: LinkBudget) -> float:
@@ -183,12 +181,7 @@ def coverage_probability(
     p_cov = nakagami_ccdf(fading.m_los, snr_los, threshold) * p_los + nakagami_ccdf(
         fading.m_nlos, snr_nlos, threshold
     ) * (1.0 - p_los)
-    return CoverageResult(
-        p_cov=p_cov,
-        p_los=p_los,
-        snr_los_db=10.0 * math.log10(snr_los),
-        snr_nlos_db=10.0 * math.log10(snr_nlos),
-    )
+    return CoverageResult(p_cov=p_cov, p_los=p_los)
 
 
 def coverage_mc_oracle(

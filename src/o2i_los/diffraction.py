@@ -8,7 +8,6 @@ complex error function for large ones, so no per-call quadrature is needed.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -16,11 +15,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 _SERIES_CUTOFF = 1.5
 _EPS = 1e-15
 _MAX_ITER = 400
-
-
-class FresnelValue(NamedTuple):
-    c: float
-    s: float
 
 
 def wavelength(frequency: float) -> float:
@@ -82,7 +76,7 @@ def _fresnel_continued_fraction(x: float) -> tuple[float, float]:
     return cs.real, cs.imag
 
 
-def fresnel_integrals(v: float) -> FresnelValue:
+def fresnel_integrals(v: float) -> tuple[float, float]:
     """Fresnel cosine and sine integrals C(v), S(v).
 
     Odd in v.  The continued fraction converges faster as |v| grows, so it
@@ -96,8 +90,8 @@ def fresnel_integrals(v: float) -> FresnelValue:
     else:
         c, s = _fresnel_continued_fraction(a)
     if v < 0.0:
-        return FresnelValue(-c, -s)
-    return FresnelValue(c, s)
+        return -c, -s
+    return c, s
 
 
 def diffraction_parameter(delta: float, d1: float, d2: float, wavelength: float) -> float:

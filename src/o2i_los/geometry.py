@@ -17,16 +17,6 @@ CORNER_RAY_ANGLE = math.atan(0.5)
 
 
 @dataclass(frozen=True)
-class Point2D:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("coordinates must be finite")
-
-
-@dataclass(frozen=True)
 class SceneGeometry:
     """Square room with a centred window and a base station out front.
 
@@ -52,15 +42,17 @@ class SceneGeometry:
             raise ValueError("window exceeds room")
         if not abs(self.bs_angle) < math.pi / 2:
             raise ValueError("bs_angle must lie strictly inside (-90, 90) degrees")
+        if not math.isfinite(self.bs_distance * math.tan(self.bs_angle)):
+            raise ValueError("base-station position must be finite")
 
 
-def bs_position(scene: SceneGeometry) -> Point2D:
-    """Base station location: standoff bs_distance at aspect angle bs_angle.
+def bs_position(scene: SceneGeometry) -> tuple[float, float]:
+    """Base station location (x, y): standoff bs_distance at aspect angle bs_angle.
 
     Placed so that its straight-line distance to the window centre is
     bs_distance / cos(bs_angle).
     """
-    return Point2D(-scene.bs_distance, -scene.bs_distance * math.tan(scene.bs_angle))
+    return -scene.bs_distance, -scene.bs_distance * math.tan(scene.bs_angle)
 
 
 def bs_to_window_distance(scene: SceneGeometry) -> float:

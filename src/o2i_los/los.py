@@ -2,11 +2,11 @@
 
 clearances is the one LoS predicate: it splits the base-station-to-receiver
 path at the wall plane and returns the verdict with the crossing point, d1,
-d2, the Fresnel radius and both signed edge clearances.  is_los applies it
-to one receiver and p_los_grid to a grid of them.  p_los_closed evaluates
-the closed-form wedge-area approximation, p_los_optical its
-frequency-independent high-frequency limit, and p_los_grid is the exact
-deterministic reference the closed form is judged against.
+d2, the Fresnel radius and both signed edge clearances; p_los_grid applies
+it to a grid of receivers.  p_los_closed evaluates the closed-form
+wedge-area approximation, p_los_optical its frequency-independent
+high-frequency limit, and p_los_grid is the exact deterministic reference
+the closed form is judged against.
 
 Why one LoS interval per grid column suffices: at fixed receiver depth x
 the wall crossing u is an increasing affine function of y, and a receiver
@@ -33,7 +33,6 @@ import numpy as np
 
 from .diffraction import SPEED_OF_LIGHT, fresnel_radius, wavelength
 from .geometry import (
-    Point2D,
     SceneGeometry,
     bs_position,
     bs_to_window_distance,
@@ -112,18 +111,16 @@ def p_los_optical(scene: SceneGeometry) -> float:
     return min(p, 1.0)
 
 
-def critical_frequency(window_width: float, bs_distance: float, room_side: float) -> float:
+def critical_frequency(scene: SceneGeometry) -> float:
     """Carrier frequency below which no LoS exists at zero aspect angle.
 
     Solves for the wavelength at which the required edge clearance exactly
-    consumes the window aperture.
+    consumes the window aperture.  bs_angle is not read.
     """
-    if not all(0 < v < math.inf for v in (window_width, bs_distance, room_side)):
-        raise ValueError("window_width, bs_distance and room_side must be positive and finite")
-    if window_width > room_side:
-        raise ValueError("window exceeds room")
     ratio = 2.0 * LOS_CLEARANCE_RATIO
-    critical_wavelength = (window_width / ratio) ** 2 * (1.0 / bs_distance + 1.0 / room_side)
+    critical_wavelength = (scene.window_width / ratio) ** 2 * (
+        1.0 / scene.bs_distance + 1.0 / scene.room_side
+    )
     return SPEED_OF_LIGHT / critical_wavelength
 
 
@@ -150,32 +147,22 @@ class Clearances(NamedTuple):
 
 def clearances(scene: SceneGeometry, x, y, wavelength_m: float) -> Clearances:
     """Split the path to receivers at (x, y) at the wall plane; x > 0, arrays or floats."""
-    bs = bs_position(scene)
+    bs_x, bs_y = bs_position(scene)
     half_window = scene.window_width / 2.0
-    t = (0.0 - bs.x) / (x - bs.x)
-    y_cross = bs.y + (y - bs.y) * t
-    d1 = np.hypot(0.0 - bs.x, y_cross - bs.y)
+    t = (0.0 - bs_x) / (x - bs_x)
+    y_cross = bs_y + (y - bs_y) * t
+    d1 = np.hypot(0.0 - bs_x, y_cross - bs_y)
     d2 = np.hypot(x, y - y_cross)
     rd = np.sqrt(wavelength_m * d1 * d2 / (d1 + d2))
     # Perpendicular edge clearance = wall-plane offset scaled by the path
     # direction cosine against the wall normal.
-    cos_norm = (x - bs.x) / np.hypot(x - bs.x, y - bs.y)
+    cos_norm = (x - bs_x) / np.hypot(x - bs_x, y - bs_y)
     threshold = LOS_CLEARANCE_RATIO * rd
     lower = (y_cross + half_window) * cos_norm
     upper = (half_window - y_cross) * cos_norm
     ok = (np.abs(y_cross) < half_window) & (upper >= threshold) & (lower >= threshold)
     margin = half_window - np.abs(y_cross) - threshold / cos_norm
     return Clearances(ok, margin, y_cross, d1, d2, rd, lower, upper)
-
-
-def is_los(scene: SceneGeometry, ms: Point2D, frequency: float) -> bool:
-    """Whether a receiver at ms has line of sight through the window, per clearances."""
-    half_room = scene.room_side / 2.0
-    if not (0.0 <= ms.x <= scene.room_side and abs(ms.y) <= half_room):
-        raise ValueError("MS outside room")
-    if ms.x == 0.0:
-        return False  # receiver on the wall plane itself: no through-window path
-    return bool(clearances(scene, ms.x, ms.y, wavelength(frequency)).los)
 
 
 def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
@@ -198,8 +185,8 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     step = scene.room_side / n
     xs = (np.arange(n) + 0.5) * step
     ys = -scene.room_side / 2.0 + (np.arange(n) + 0.5) * step
-    bs = bs_position(scene)
-    standoff = 0.0 - bs.x
+    bs_x, bs_y = bs_position(scene)
+    standoff = 0.0 - bs_x
 
     def at(x, j):
         return clearances(scene, x, ys[j], wavelength_m)
@@ -211,7 +198,7 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     c2 = (2.0 * standoff / (3.0 * k)) ** 2
     s_max = np.sqrt(c2 * (c2 + np.sqrt(c2 * c2 + 4.0)) / 2.0)
     slope = np.clip(math.tan(scene.bs_angle), -s_max, s_max)
-    row = np.floor((bs.y + slope * (xs + standoff) + scene.room_side / 2.0) / step - 0.5)
+    row = np.floor((bs_y + slope * (xs + standoff) + scene.room_side / 2.0) / step - 0.5)
     pair = np.clip(np.stack([row, row + 1.0]), 0, n - 1).astype(np.intp)
     ok, margin = at(xs, pair)[:2]
     upper = margin[1] > margin[0]
@@ -249,8 +236,7 @@ def evaluate(
     return LosEvaluation(
         p_closed=min(raw, 1.0),
         p_optical=p_los_optical(scene),
-        below_critical=frequency
-        <= critical_frequency(scene.window_width, scene.bs_distance, scene.room_side),
+        below_critical=frequency <= critical_frequency(scene),
         p_grid=None if grid is None else p_los_grid(scene, frequency, grid),
         clamped=raw > 1.0,
     )

@@ -23,10 +23,6 @@ class ConfigError(Exception):
     """Invalid configuration document."""
 
 
-class SweepRuntimeError(ValueError):
-    """Domain error while evaluating a sweep point; the CLI exits 3 on any ValueError."""
-
-
 _NUMERIC_DEFAULTS = {
     "room_m": 20.0,
     "window_m": 2.0,
@@ -188,7 +184,7 @@ OUTPUTS = {
     "path_loss_db": (_path_loss_db, ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
     "p_cov": (_p_cov, _LINK_KEYS),
     "critical_frequency_hz": (
-        lambda v, spec: critical_frequency(v["window_m"], v["bs_distance_m"], v["room_m"]),
+        lambda v, spec: critical_frequency(_scene_from(v)),
         ("window_m", "bs_distance_m", "room_m"),
     ),
 }
@@ -256,15 +252,18 @@ def parse_config(text: str) -> SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> RunRecord:
-    """Evaluate every requested output at every sweep point."""
+    """Evaluate every output at every point; a failing or non-finite one raises ValueError."""
     rows: list[tuple[float, ...]] = []
     for value in spec.values():
         point = dict(spec.fixed)
         point[spec.swept] = value
         try:
             row = tuple(OUTPUTS[name][0](point, spec) for name in spec.outputs)
-        except ValueError as err:
-            raise SweepRuntimeError(f"at {spec.swept}={value!r}: {err}") from err
+        except (ValueError, ArithmeticError) as err:
+            raise ValueError(f"at {spec.swept}={value!r}: {err}") from err
+        if not all(map(math.isfinite, row)):
+            named = dict(zip(spec.outputs, row))
+            raise ValueError(f"at {spec.swept}={value!r}: non-finite output {named}")
         rows.append((value,) + row)
     return RunRecord(spec=spec, rows=rows)
 

@@ -94,11 +94,11 @@ def test_criterion_3_optical_convergence():
 
 
 def test_criterion_4_critical_frequency_boundary():
-    fc = critical_frequency(2.0, 5.0, 20.0)
+    fc = critical_frequency(scene())
     near_reference = abs(fc - 431.7e6) / 431.7e6 < 1e-3
     below = p_los_closed(scene(), 0.99 * fc) == 0.0
     above = p_los_closed(scene(), 1.01 * fc) > 0.0
-    scaled = [critical_frequency(w, 5.0, 20.0) * w**2 for w in (1.0, 2.0, 3.0)]
+    scaled = [critical_frequency(scene(window=w)) * w**2 for w in (1.0, 2.0, 3.0)]
     scaling = max(scaled) / min(scaled) - 1.0 < 1e-9
     ok = near_reference and below and above and scaling
     report(4, "critical frequency boundary", ok, f"fc {fc/1e6:.1f} MHz")

@@ -7,13 +7,13 @@ from scipy.optimize import brentq
 
 from o2i_los import los
 from o2i_los.diffraction import SPEED_OF_LIGHT, fresnel_radius, wavelength
-from o2i_los.geometry import Point2D, SceneGeometry, bs_position
+from o2i_los.geometry import SceneGeometry, bs_position
 from o2i_los.los import (
     LOS_CLEARANCE_RATIO,
     GridSpec,
+    clearances,
     critical_frequency,
     evaluate,
-    is_los,
     los_half_angle,
     p_los_closed,
     p_los_grid,
@@ -23,6 +23,7 @@ from o2i_los.los import (
 from oracles import dense_los_count, visible_area_fraction
 
 F_28 = 28e9
+LAM_28 = wavelength(F_28)
 
 
 def scene(room=20.0, window=2.0, dist=5.0, angle=0.0):
@@ -53,7 +54,7 @@ class TestLosHalfAngle:
         assert los_half_angle(scene(), wavelength(F_28)) == pytest.approx(0.17516, abs=1e-5)
 
     def test_zero_at_critical_frequency(self):
-        fc = critical_frequency(2.0, 5.0, 20.0)
+        fc = critical_frequency(scene())
         assert los_half_angle(scene(), wavelength(fc)) == 0.0
 
 
@@ -62,7 +63,7 @@ class TestPLosClosed:
         assert p_los_closed(scene(), F_28) == pytest.approx(0.2627, abs=1e-4)
 
     def test_zero_at_or_below_critical(self):
-        fc = critical_frequency(2.0, 5.0, 20.0)
+        fc = critical_frequency(scene())
         assert p_los_closed(scene(), fc) == 0.0
         assert p_los_closed(scene(), 0.5 * fc) == 0.0
 
@@ -110,48 +111,48 @@ class TestPLosOptical:
 
 class TestCriticalFrequency:
     def test_reference_value(self):
-        fc = critical_frequency(2.0, 5.0, 20.0)
+        fc = critical_frequency(scene())
         assert fc == pytest.approx(431.7e6, rel=1e-3)
         assert fc == pytest.approx(
             1.44 * SPEED_OF_LIGHT * 5.0 * 20.0 / (2.0**2 * 25.0), rel=1e-12
         )
+        assert critical_frequency(scene(angle=1.2)) == fc  # the aspect angle is not read
 
     def test_inverse_square_window_scaling(self):
-        assert critical_frequency(1.0, 5, 20) == pytest.approx(
-            4 * critical_frequency(2.0, 5, 20), rel=1e-12
+        assert critical_frequency(scene(window=1.0)) == pytest.approx(
+            4 * critical_frequency(scene(window=2.0)), rel=1e-12
         )
 
     def test_far_bs_limit(self):
-        assert critical_frequency(2.0, 1e12, 20.0) == pytest.approx(2.159e9, rel=1e-3)
+        assert critical_frequency(scene(dist=1e12)) == pytest.approx(2.159e9, rel=1e-3)
 
     def test_boundary_behaviour(self):
-        fc = critical_frequency(2.0, 5.0, 20.0)
+        fc = critical_frequency(scene())
         assert p_los_closed(scene(), 0.99 * fc) == 0.0
         assert p_los_closed(scene(), 1.01 * fc) > 0.0
 
     def test_invalid_inputs(self):
-        for args in [
+        # The scene is critical_frequency's one input and its one check.
+        for window, dist, room in [
             (0.0, 5.0, 20.0),
             (2.0, math.inf, 20.0),
             (math.inf, 5.0, math.inf),
             (2.0, 5.0, math.nan),
-            (30.0, 5.0, 20.0),  # window wider than the room, as every scene rejects
+            (30.0, 5.0, 20.0),  # window wider than the room
         ]:
             with pytest.raises(ValueError):
-                critical_frequency(*args)
+                critical_frequency(scene(room=room, window=window, dist=dist))
 
 
 class TestIsLos:
+    """The verdict of clearances for one receiver."""
+
     def test_center_of_back_wall(self):
-        assert is_los(scene(), Point2D(20.0, 0.0), F_28) is True
+        assert clearances(scene(), 20.0, 0.0, LAM_28).los
 
     def test_hidden_behind_wall(self):
         # crossing at y = 7.5 is well outside the window
-        assert is_los(scene(), Point2D(1.0, 9.0), F_28) is False
-
-    def test_outside_room_rejected(self):
-        with pytest.raises(ValueError, match="MS outside room"):
-            is_los(scene(), Point2D(25.0, 0.0), F_28)
+        assert not clearances(scene(), 1.0, 9.0, LAM_28).los
 
     def test_threshold_sharpness(self):
         # place receivers at depth 15 whose upper-edge clearance is a chosen
@@ -169,8 +170,8 @@ class TestIsLos:
 
         y59 = brentq(lambda y: clearance_ratio(y) - 0.59, 0.0, 3.999)
         y61 = brentq(lambda y: clearance_ratio(y) - 0.61, 0.0, 3.999)
-        assert is_los(scene(), Point2D(depth, y59), F_28) is False
-        assert is_los(scene(), Point2D(depth, y61), F_28) is True
+        assert not clearances(scene(), depth, y59, LAM_28).los
+        assert clearances(scene(), depth, y61, LAM_28).los
 
 
 class TestPLosGrid:
@@ -184,9 +185,9 @@ class TestPLosGrid:
     @pytest.mark.parametrize("window,deg", [(10.0, 0.0), (2.0, 0.0), (10.0, 20.0), (10.0, 40.0)])
     def test_matches_polygon_oracle_at_high_frequency(self, window, deg):
         sc = scene(window=window, angle=math.radians(deg))
-        bs = bs_position(sc)
+        bs_x, bs_y = bs_position(sc)
         got = p_los_grid(sc, 1e15, GridSpec(800))
-        assert got == pytest.approx(visible_area_fraction(20.0, window, bs.x, bs.y), abs=0.01)
+        assert got == pytest.approx(visible_area_fraction(20.0, window, bs_x, bs_y), abs=0.01)
 
     def test_agrees_with_scalar_predicate(self):
         sc = scene(window=2.1, dist=5.3, angle=0.37)
@@ -196,8 +197,8 @@ class TestPLosGrid:
         count = 0
         for i in range(n):
             for j in range(n):
-                ms = Point2D((i + 0.5) * step, -sc.room_side / 2 + (j + 0.5) * step)
-                count += is_los(sc, ms, F_28)
+                x, y = (i + 0.5) * step, -sc.room_side / 2 + (j + 0.5) * step
+                count += bool(clearances(sc, x, y, LAM_28).los)
         assert grid_value == count / n**2
 
     def test_deterministic(self):
@@ -221,9 +222,9 @@ class TestPLosGrid:
     ):
         window = room * window_share
         frequency = 10.0**log_f
-        if below_critical is not None:
-            frequency = below_critical * critical_frequency(window, dist, room)
         sc = scene(room=room, window=window, dist=dist, angle=math.radians(deg))
+        if below_critical is not None:
+            frequency = below_critical * critical_frequency(sc)
         count = dense_los_count(room, window, dist, math.radians(deg), frequency, n)
         assert p_los_grid(sc, frequency, GridSpec(n)) == count / n**2
 

@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from o2i_los import diffraction
+from o2i_los import cli, diffraction, los
 from o2i_los.cli import main
 from o2i_los.coverage import LinkBudget, mean_snr
 from o2i_los.diffraction import SPEED_OF_LIGHT, free_space_path_loss_db, wavelength
@@ -19,7 +21,6 @@ from o2i_los.sweep import (
     MAX_POINTS,
     OUTPUTS,
     ConfigError,
-    SweepRuntimeError,
     SweepSpec,
     config_echo,
     emit_csv,
@@ -140,7 +141,7 @@ class TestRunSweep:
 
     def test_domain_error_reports_offending_value(self):
         spec = parse_config("sweep=theta_deg\nstart=85\nstop=95\nstep=5\noutputs=p_los_closed")
-        with pytest.raises(SweepRuntimeError, match="theta_deg=90.0"):
+        with pytest.raises(ValueError, match="theta_deg=90.0"):
             run_sweep(spec)
 
     def test_knife_edge_transition(self):
@@ -219,6 +220,23 @@ class TestGoldenResults:
         with open(target, "w") as stream:
             emit_csv(run_sweep(parse_config(config.read_text())), stream)
         assert target.read_bytes() == (ROOT / "results" / target.name).read_bytes()
+
+    def test_reproduce_figures_script(self, tmp_path, monkeypatch, capsys):
+        path = ROOT / "scripts" / "reproduce_figures.py"
+        module_spec = importlib.util.spec_from_file_location("reproduce_figures", path)
+        script = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(script)
+        shutil.copytree(ROOT / "configs", tmp_path / "configs")
+        monkeypatch.setattr(script, "ROOT", tmp_path)
+        assert script.main() == 0
+        written = sorted((tmp_path / "results").glob("*.csv"))
+        assert [p.stem for p in written] == [p.stem for p in CONFIGS]
+        for target in written:
+            assert target.read_bytes() == (ROOT / "results" / target.name).read_bytes()
+        out = capsys.readouterr().out
+        for line in ("1 m window:   1726.8 MHz", "2 m window:    431.7 MHz",
+                     "3 m window:    191.9 MHz"):
+            assert line in out
 
 
 def _read_by_outputs(fields) -> bool:
@@ -307,6 +325,16 @@ class TestCli:
             # windows beyond the 20 m room, rejected like every other scene output
             ("sweep=window_m\nstart=18\nstop=24\nstep=2\noutputs=critical_frequency_hz\n",
              "window_m=22.0: window exceeds room"),
+            # d**exponent overflows in mean_snr
+            ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_cov\n",
+             "bs_distance_m=1e+306"),
+            # the critical wavelength underflows to zero
+            ("sweep=window_m\nstart=1e-300\nstop=2e-300\nstep=1e-300\n"
+             "outputs=critical_frequency_hz\n", "window_m=1e-300: float division by zero"),
+            # 2 * bs_distance overflows in los_half_angle and the row would read nan
+            ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\n"
+             "outputs=p_los_closed\n",
+             "bs_distance_m=9.099999999999998e+307: non-finite output {'p_los_closed': nan}"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
             assert message in capsys.readouterr().err
@@ -338,6 +366,11 @@ class TestCli:
         for window, distance, room in [("-2", "5", "20"), ("2", "inf", "20"), ("30", "5", "20")]:
             assert main(["critical-freq", "--window-m", window, "--bs-distance-m", distance,
                          "--room-m", room]) == 2
+
+    def test_critical_freq_underflow_exit_3(self, capsys):
+        assert main(["critical-freq", "--window-m", "1e-300", "--bs-distance-m", "5",
+                     "--room-m", "20"]) == 3
+        assert "float division by zero" in capsys.readouterr().err
 
     def test_los_point_diagnostics(self, capsys):
         assert main(["los-point", "--ms-x", "20", "--ms-y", "0"]) == 0
@@ -371,8 +404,27 @@ class TestCli:
         assert (main(point), capsys.readouterr().out) != (0, printed)
 
     def test_los_point_outside_room_exit_3(self, capsys):
-        assert main(["los-point", "--ms-x", "30", "--ms-y", "0"]) == 3
-        assert "MS outside room" in capsys.readouterr().err
+        for x, y in [("30", "0"), ("25", "0"), ("5", "11"), ("0", "0"),  # 0: the wall plane
+                     ("nan", "0"), ("inf", "0"), ("5", "inf"), ("5", "nan")]:
+            assert main(["los-point", "--ms-x", x, "--ms-y", y]) == 3
+            assert "MS outside room" in capsys.readouterr().err
+
+    def test_los_point_infinite_bs_position_exit_2(self, capsys):
+        assert main(["los-point", "--ms-x", "20", "--ms-y", "0", "--bs-distance-m", "1e308",
+                     "--theta-deg", "89"]) == 2
+        assert "base-station position must be finite" in capsys.readouterr().err
+
+    def test_los_point_one_predicate_call(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return clearances(*args)
+
+        monkeypatch.setattr(los, "clearances", spy)
+        monkeypatch.setattr(cli, "clearances", spy)
+        assert main(["los-point", "--ms-x", "20", "--ms-y", "0"]) == 0
+        assert len(calls) == 1
 
     def test_los_point_infinite_frequency_exit_3(self, capsys):
         assert main(["los-point", "--ms-x", "20", "--ms-y", "0", "--frequency-hz", "inf"]) == 3
