@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diffraction import fresnel_radius, wavelength
 from .los import LOS_CLEARANCE_RATIO
 
@@ -199,6 +197,8 @@ def coverage_mc_oracle(
     spawned from SeedSequence(seed), so the estimate depends only on the
     seed and trial count, not on how chunks are scheduled.
     """
+    import numpy as np
+
     if trials < 10_000:
         raise ValueError("trials must be at least 10000")
     p_los = p_los_at_distance(d_a, d_n, window_width, budget.frequency)

@@ -21,7 +21,10 @@ def wavelength(frequency: float) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""
     if not 0 < frequency < math.inf:
         raise ValueError("frequency must be positive and finite")
-    return SPEED_OF_LIGHT / frequency
+    lam = SPEED_OF_LIGHT / frequency
+    if not math.isfinite(lam):
+        raise ValueError(f"wavelength is not finite at frequency {frequency!r} Hz")
+    return lam
 
 
 def _fresnel_series(x: float) -> tuple[float, float]:
@@ -133,7 +136,10 @@ def fresnel_radius(d1: float, d2: float, wavelength: float) -> float:
     """First Fresnel zone radius at the plane splitting the path into d1, d2."""
     if not (d1 > 0 and d2 > 0 and wavelength > 0):
         raise ValueError("d1, d2 and wavelength must be positive")
-    return math.sqrt(wavelength * (d1 * d2) / (d1 + d2))
+    rd = math.sqrt(wavelength * (d1 * d2) / (d1 + d2))
+    if not math.isfinite(rd):
+        raise ValueError("Fresnel radius is not finite")
+    return rd
 
 
 def total_path_loss_db(d1: float, d2: float, delta: float, wavelength: float) -> float:

@@ -17,9 +17,12 @@ is LoS when the normalised margin
 is >= 0.  With path slope s = (u - bs_y) / standoff the clearance term
 equals K * (1 + s^2)^(3/4), K fixed per column, which is convex in u; the
 margin is therefore concave in u and in y, and its >= 0 set is one
-interval.  p_los_grid finds that interval with O(log n) evaluations of
-the exact predicate per column; a column whose best margin lies within
-1e-9 of the room side of zero is counted cell by cell instead.
+interval.  p_los_grid predicts the two ends of that interval per column
+with a few Newton steps on the margin and checks each prediction with the
+exact predicate, so a grid costs two vectorised predicate calls; a column
+whose prediction fails the check is bisected with O(log n) evaluations,
+and a column whose best margin lies within 1e-9 of the room side of zero
+is counted cell by cell.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .diffraction import SPEED_OF_LIGHT, fresnel_radius, wavelength
 from .geometry import (
@@ -39,6 +40,9 @@ from .geometry import (
     window_to_far_wall_distance,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # A link is LoS when both window edges clear this fraction of the first
 # Fresnel zone radius.
 LOS_CLEARANCE_RATIO = 0.6
@@ -46,6 +50,9 @@ LOS_CLEARANCE_RATIO = 0.6
 # A grid column whose largest normalised margin lies within this share of
 # the room side of zero is counted densely.
 _NEAR_ZERO = 1e-9
+
+# Newton steps that predict each grid column's two LoS boundaries.
+_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,8 @@ class Clearances(NamedTuple):
 
 def clearances(scene: SceneGeometry, x, y, wavelength_m: float) -> Clearances:
     """Split the path to receivers at (x, y) at the wall plane; x > 0, arrays or floats."""
+    import numpy as np
+
     bs_x, bs_y = bs_position(scene)
     half_window = scene.window_width / 2.0
     t = (0.0 - bs_x) / (x - bs_x)
@@ -168,18 +177,22 @@ def clearances(scene: SceneGeometry, x, y, wavelength_m: float) -> Clearances:
 def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     """LoS fraction over an n x n grid of receivers at room cell centres.
 
-    The exact per-point predicate decides every cell, yet each column
-    (fixed depth x) costs O(log n) evaluations, vectorised across columns.
-    In a column the normalised margin is concave in y, since its clearance
-    term K * (1 + s^2)^(3/4) is convex in the wall crossing u, so the LoS
-    cells form one run (module docstring).  The seed cell of a column is
-    the one of largest margin, next to the closed-form maximiser.  If the
-    seed is LoS, bisection with the predicate on each side finds the first
-    and last LoS cell; if not, the column has none.  A column whose largest
-    margin lies within _NEAR_ZERO * room_side of zero is counted densely
-    with the same predicate instead, since there rounding may split the
-    run.  The count is exact and deterministic.
+    The exact per-point predicate decides every cell, yet a grid takes a
+    few predicate calls, each vectorised across columns.  The LoS
+    cells of a column form one run (module docstring).  The seed cell of a
+    column is the one of largest margin, next to the closed-form maximiser;
+    if it is not LoS, the column has none.  Otherwise _NEWTON_STEPS Newton
+    steps on the margin predict the first and last LoS cell, and one
+    predicate call on them and their outer neighbours checks both; a column
+    that fails the check is bisected with the predicate on each side of
+    the seed.  A column whose largest margin lies within _NEAR_ZERO *
+    room_side of zero is counted densely with the same predicate instead,
+    since there rounding may split the run.  The count is exact and
+    deterministic, and a grid whose columns all pass the check takes two
+    predicate calls.
     """
+    import numpy as np
+
     n = grid.n
     wavelength_m = wavelength(frequency)
     step = scene.room_side / n
@@ -206,11 +219,38 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     ok = np.where(upper, ok[1], ok[0])
     near = np.abs(np.maximum(margin[0], margin[1])) <= _NEAR_ZERO * scene.room_side
 
-    # The predicate is false, then true up to best, then false again.
+    # Predict the column's two boundaries: Newton steps on the margin
+    # g(u) = h - sigma u - K (1 + s^2)^(3/4), s = (u - bs_y) / standoff, for
+    # sigma = -1 (first cell) and +1 (last cell), from u = sigma h.  There g
+    # < 0 outside the run, and g is concave, so the iterates approach the
+    # root from outside without crossing it.  The check below judges the
+    # prediction, so its overflow in extreme scenes is silenced, and
+    # fmin/fmax map a non-finite one into range.
     cols = np.flatnonzero(ok & ~near)
-    x = xs[cols]
-    first, first_end = np.zeros_like(cols), best[cols]
-    last, last_end = best[cols], np.full_like(cols, n - 1)
+    x, best, k = xs[cols], best[cols], k[cols]
+    h = scene.window_width / 2.0
+    sigma = np.array([[-1.0], [1.0]])
+    u = sigma * h
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            s = (u - bs_y) / standoff
+            q = 1.0 + s * s
+            u = u + (h - sigma * u - k * q**0.75) / (sigma + 1.5 * k * s / (standoff * q**0.25))
+        pos = (bs_y + (u - bs_y) / standoff * (x + standoff) + scene.room_side / 2.0) / step - 0.5
+    first = np.fmin(np.fmax(np.ceil(pos[0]), 0), best).astype(np.intp)
+    last = np.fmax(np.fmin(np.floor(pos[1]), n - 1), best).astype(np.intp)
+
+    # Check each prediction with the predicate: first and last are LoS, and
+    # their outer neighbours are not or lie outside the room.
+    hit = at(x, np.clip(np.stack([first - 1, first, last, last + 1]), 0, n - 1)).los
+    miss = ~(hit[1] & hit[2] & ((first == 0) | ~hit[0]) & ((last == n - 1) | ~hit[3]))
+    count = int(np.sum((last - first + 1)[~miss]))
+
+    # A column that fails the check is bisected.  The predicate is false,
+    # then true up to best, then false again.
+    x = x[miss]
+    first, first_end = np.zeros_like(x, dtype=np.intp), best[miss]
+    last, last_end = best[miss], np.full_like(x, n - 1, dtype=np.intp)
     while (first < first_end).any() or (last < last_end).any():
         mid_first = (first + first_end) // 2
         mid_last = (last + last_end + 1) // 2
@@ -219,7 +259,7 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
         first = np.where(hit[0], first, mid_first + 1)
         last = np.where(hit[1], mid_last, last)
         last_end = np.where(hit[1], last_end, mid_last - 1)
-    count = int(np.sum(last - first + 1))
+    count += int(np.sum(last - first + 1))
 
     dense = np.flatnonzero(near)
     if dense.size:

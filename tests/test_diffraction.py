@@ -169,6 +169,12 @@ class TestFreeSpacePathLoss:
 
 
 class TestFresnelRadius:
+    def test_nonfinite_radius_rejected(self):
+        # d1 * d2 overflows; an infinite radius would floor the LoS wedge at 0
+        for d1, d2, lam in [(3.1e307, 20.0, 0.01), (1e200, 1e200, 1.0), (5.0, 20.0, 1e308)]:
+            with pytest.raises(ValueError, match="Fresnel radius is not finite"):
+                fresnel_radius(d1, d2, lam)
+
     def test_symmetric_midpoint_form(self):
         lam = 0.05
         assert fresnel_radius(7.0, 7.0, lam) == pytest.approx(math.sqrt(lam * 7.0 / 2.0))
@@ -215,3 +221,6 @@ def test_wavelength():
     for frequency in (0.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             wavelength(frequency)
+    # c / f overflows to inf below about 1.7e-300 Hz
+    with pytest.raises(ValueError, match="wavelength is not finite"):
+        wavelength(1e-300)

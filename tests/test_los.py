@@ -249,6 +249,37 @@ class TestPLosGrid:
         assert dense_columns == [depth]
         assert got == dense_los_count(20.0, 2.0, 5.0, 0.0, frequency, n) / n**2
 
+    @staticmethod
+    def spy_on_clearances(monkeypatch):
+        """Record the receiver count of each los.clearances call."""
+        calls = []
+        clearances = los.clearances
+
+        def spy(sc, x, y, wavelength_m):
+            calls.append(np.size(x))
+            return clearances(sc, x, y, wavelength_m)
+
+        monkeypatch.setattr(los, "clearances", spy)
+        return calls
+
+    def test_wrong_prediction_falls_back_to_bisection(self, monkeypatch):
+        # With no Newton steps the prediction is the optical window edge,
+        # which the Fresnel clearance moves inward: most columns fail the
+        # check, and the bisection must still count them exactly.
+        calls = self.spy_on_clearances(monkeypatch)
+        monkeypatch.setattr(los, "_NEWTON_STEPS", 0)
+        n, frequency = 300, 2e9
+        got = p_los_grid(scene(angle=0.3), frequency, GridSpec(n))
+        assert got == dense_los_count(20.0, 2.0, 5.0, 0.3, frequency, n) / n**2
+        # seed pair, check, then bisection steps over the columns that failed
+        assert len(calls) > 2 and calls[2] > calls[1] / 2
+
+    def test_two_predicate_calls_per_grid(self, monkeypatch):
+        calls = self.spy_on_clearances(monkeypatch)
+        got = p_los_grid(scene(angle=0.3), F_28, GridSpec(500))
+        assert got == dense_los_count(20.0, 2.0, 5.0, 0.3, F_28, 500) / 500**2
+        assert len(calls) == 2
+
     def test_mirror_symmetry(self):
         up = p_los_grid(scene(angle=0.4), F_28, GridSpec(400))
         down = p_los_grid(scene(angle=-0.4), F_28, GridSpec(400))

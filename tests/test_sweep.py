@@ -331,10 +331,13 @@ class TestCli:
             # the critical wavelength underflows to zero
             ("sweep=window_m\nstart=1e-300\nstop=2e-300\nstep=1e-300\n"
              "outputs=critical_frequency_hz\n", "window_m=1e-300: float division by zero"),
-            # 2 * bs_distance overflows in los_half_angle and the row would read nan
+            # d1 * d2 overflows in fresnel_radius; the row would read 0.0
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\n"
              "outputs=p_los_closed\n",
-             "bs_distance_m=9.099999999999998e+307: non-finite output {'p_los_closed': nan}"),
+             "bs_distance_m=3.0999999999999997e+307: Fresnel radius is not finite"),
+            # deep shadow: the knife-edge loss is inf and the row is rejected
+            ("sweep=delta_over_rd\nstart=-2e16\nstop=-1e16\nstep=1e16\noutputs=path_loss_db\n",
+             "delta_over_rd=-2e+16: non-finite output {'path_loss_db': inf}"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
             assert message in capsys.readouterr().err
@@ -427,8 +430,35 @@ class TestCli:
         assert len(calls) == 1
 
     def test_los_point_infinite_frequency_exit_3(self, capsys):
-        assert main(["los-point", "--ms-x", "20", "--ms-y", "0", "--frequency-hz", "inf"]) == 3
-        assert "frequency must be positive and finite" in capsys.readouterr().err
+        # 1e-300 Hz: the frequency is finite but its wavelength overflows
+        for frequency, message in [("inf", "frequency must be positive and finite"),
+                                   ("1e-300", "wavelength is not finite")]:
+            assert main(["los-point", "--ms-x", "20", "--ms-y", "0",
+                         "--frequency-hz", frequency]) == 3
+            assert message in capsys.readouterr().err
+
+    def test_analytic_routes_do_not_load_numpy(self, tmp_path):
+        # numpy is imported only by the grid and Monte Carlo oracles
+        cfg = self.write(tmp_path, "sweep=bs_distance_m\nstart=1\nstop=5\nstep=1\n"
+                                   "outputs=p_los_closed,p_cov\n")
+        code = (
+            "import sys\n"
+            "import o2i_los\n"
+            "from o2i_los.cli import main\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"assert main(['sweep', '--config', {cfg!r}]) == 0\n"
+            "assert main(['critical-freq', '--window-m', '2', '--bs-distance-m', '5',"
+            " '--room-m', '20']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert "bs_distance_m,p_los_closed,p_cov" in lines
+        assert float(lines[-1]) == pytest.approx(431.7e6, rel=1e-3)
 
     def test_module_entry_point(self, tmp_path):
         cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\noutputs=\n")
