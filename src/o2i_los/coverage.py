@@ -8,6 +8,7 @@ complementary CDFs with the LoS probability of the receiver ring.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .diffraction import fresnel_radius, wavelength
@@ -191,16 +192,22 @@ def coverage_mc_oracle(
     trials: int,
     seed: int,
 ) -> float:
-    """Monte Carlo coverage estimate: state draw, Gamma(m, 1/m) gain, threshold.
+    """Monte Carlo coverage estimate: LoS count, Gamma(m, 1/m) gains, threshold.
 
-    Trials are processed in fixed-size chunks whose generators (PCG64) are
-    spawned from SeedSequence(seed), so the estimate depends only on the
-    seed and trial count, not on how chunks are scheduled.
+    Each chunk of trials draws its LoS count K ~ Binomial(n, p_los), then K
+    LoS gains and n - K NLoS gains, and counts each group's SNRs above the
+    threshold: given K the gains of a state are i.i.d., so the covered count
+    has the distribution of per-trial state draws.  Chunks have a fixed size
+    and their generators (PCG64) are spawned from SeedSequence(seed), so the
+    estimate depends only on the seed and trial count, not on how chunks are
+    scheduled.
     """
     import numpy as np
 
-    if trials < 10_000:
-        raise ValueError("trials must be at least 10000")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError("seed must be a non-negative integer")
+    if not (isinstance(trials, numbers.Integral) and trials >= 10_000):
+        raise ValueError("trials must be an integer of at least 10000")
     p_los = p_los_at_distance(d_a, d_n, window_width, budget.frequency)
     d = d_a + d_n
     snr_los = mean_snr(d, fading.n_los, budget)
@@ -213,9 +220,9 @@ def coverage_mc_oracle(
     for i, child in enumerate(children):
         n = min(_MC_CHUNK, trials - i * _MC_CHUNK)
         rng = np.random.default_rng(child)
-        los_state = rng.random(n) < p_los
-        gain_los = rng.gamma(fading.m_los, 1.0 / fading.m_los, n)
-        gain_nlos = rng.gamma(fading.m_nlos, 1.0 / fading.m_nlos, n)
-        snr = np.where(los_state, gain_los * snr_los, gain_nlos * snr_nlos)
-        covered += int(np.count_nonzero(snr > threshold))
+        n_los = int(rng.binomial(n, p_los))
+        gain_los = rng.gamma(fading.m_los, 1.0 / fading.m_los, n_los)
+        gain_nlos = rng.gamma(fading.m_nlos, 1.0 / fading.m_nlos, n - n_los)
+        covered += int(np.count_nonzero(gain_los * snr_los > threshold))
+        covered += int(np.count_nonzero(gain_nlos * snr_nlos > threshold))
     return covered / trials

@@ -207,9 +207,11 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
     # Path slope s maximising the margin: the window-centre slope tan(theta)
     # unless the Fresnel term's slope there exceeds the unit slope of |u|,
     # in which case s = +-s_max solves 3k/(2 standoff) s (1+s^2)^(-1/4) = 1.
+    # An overflow there gives s_max = inf, the no-clamp limit, so it is silenced.
     k = LOS_CLEARANCE_RATIO * np.sqrt(wavelength_m * standoff * xs / (xs + standoff))
-    c2 = (2.0 * standoff / (3.0 * k)) ** 2
-    s_max = np.sqrt(c2 * (c2 + np.sqrt(c2 * c2 + 4.0)) / 2.0)
+    with np.errstate(over="ignore"):
+        c2 = (2.0 * standoff / (3.0 * k)) ** 2
+        s_max = np.sqrt(c2 * (c2 + np.sqrt(c2 * c2 + 4.0)) / 2.0)
     slope = np.clip(math.tan(scene.bs_angle), -s_max, s_max)
     row = np.floor((bs_y + slope * (xs + standoff) + scene.room_side / 2.0) / step - 0.5)
     pair = np.clip(np.stack([row, row + 1.0]), 0, n - 1).astype(np.intp)

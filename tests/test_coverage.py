@@ -274,6 +274,28 @@ class TestCoverageMcOracle:
         with pytest.raises(ValueError):
             coverage_mc_oracle(5.0, 20.0, 2.0, FadingModel(), budget(), 100, 0)
 
+    @pytest.mark.parametrize("trials, seed", [(1e5, 0), ("100000", 0), (100_000, None),
+                                              (100_000, 1.5), (100_000, -1)])
+    def test_trials_and_seed_must_be_integers(self, trials, seed):
+        with pytest.raises(ValueError):
+            coverage_mc_oracle(5.0, 20.0, 2.0, FadingModel(), budget(), trials, seed)
+
+    @pytest.mark.parametrize("d_a, window, frequency, p_los", [
+        (2.0, 3.0, F_28, 1.0),  # wide window at a short standoff
+        (5.0, 1.0, 1e9, 0.0),   # window below the critical aperture
+    ])
+    def test_single_state_matches_mpmath_ccdf(self, d_a, window, frequency, p_los):
+        # Every trial is in one state, so the other state's gamma draws are empty.
+        assert p_los_at_distance(d_a, 20.0, window, frequency) == p_los
+        fading = FadingModel()
+        m, exponent = (fading.m_los, fading.n_los) if p_los else (fading.m_nlos, fading.n_nlos)
+        mean = mean_snr(d_a + 20.0, exponent, budget(frequency))
+        b = budget(frequency, threshold=snr_db(mean) - 0.5)
+        expected = reg_upper_gamma_mp(m, m * 10.0 ** (b.snr_threshold_db / 10.0) / mean)
+        trials = 100_000
+        estimate = coverage_mc_oracle(d_a, 20.0, window, fading, b, trials, 2024)
+        assert abs(estimate - expected) <= 4 * math.sqrt(expected * (1 - expected) / trials)
+
     def test_gamma_gain_unit_mean(self):
         rng = np.random.default_rng(0)
         for m in (1.0, 10.0):

@@ -144,6 +144,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="theta_deg=90.0"):
             run_sweep(spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_standoff_grid_warns_nothing(self):
+        # The seed slope's square overflows here; s_max = inf is the no-clamp limit.
+        text = "sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_los_grid\noracle_n=10"
+        record = run_sweep(parse_config(text))
+        assert [row[1] for row in record.rows] == [0.0] * 4
+
     def test_knife_edge_transition(self):
         text = (
             "sweep=delta_over_rd\nstart=-3\nstop=3\nstep=0.05\n"
