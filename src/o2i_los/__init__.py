@@ -43,6 +43,7 @@ from .los import (
     los_half_angle,
     p_los_closed,
     p_los_grid,
+    p_los_grids,
     p_los_optical,
 )
 from .sweep import (

@@ -1,8 +1,8 @@
 """Knife-edge diffraction loss, Fresnel integrals, and free-space path loss.
 
 The Fresnel integrals C(v) and S(v) are evaluated with a Maclaurin series
-for small arguments and a modified-Lentz continued fraction of the related
-complex error function for large ones, so no per-call quadrature is needed.
+for small arguments and, for large ones, a modified-Lentz continued fraction
+that yields 0.5 - C and 0.5 - S, from which the deep-shadow loss is formed.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ def _fresnel_series(x: float) -> tuple[float, float]:
     return c, s
 
 
-def _fresnel_continued_fraction(x: float) -> tuple[float, float]:
+def _fresnel_continued_fraction(x: float) -> complex:
     # Modified Lentz evaluation of the continued fraction for the complex
     # error function of (1-j)*sqrt(pi)/2*x, which carries both integrals;
-    # at most 47 iterations above the cutoff.
+    # at most 47 iterations above the cutoff.  Returns (0.5 - C) + j(0.5 - S).
     pix2 = math.pi * x * x
     b = complex(1.0, -pix2)
     cc = complex(1e300, 0.0)
@@ -75,8 +75,7 @@ def _fresnel_continued_fraction(x: float) -> tuple[float, float]:
         raise ValueError(f"Fresnel continued fraction did not converge at v={x!r}")
     h *= complex(x, -x)
     phase = complex(math.cos(0.5 * pix2), math.sin(0.5 * pix2))
-    cs = complex(0.5, 0.5) * (1.0 - phase * h)
-    return cs.real, cs.imag
+    return complex(0.5, 0.5) * phase * h
 
 
 def fresnel_integrals(v: float) -> tuple[float, float]:
@@ -91,7 +90,8 @@ def fresnel_integrals(v: float) -> tuple[float, float]:
     if a <= _SERIES_CUTOFF:
         c, s = _fresnel_series(a)
     else:
-        c, s = _fresnel_continued_fraction(a)
+        g = _fresnel_continued_fraction(a)
+        c, s = 0.5 - g.real, 0.5 - g.imag
     if v < 0.0:
         return -c, -s
     return c, s
@@ -118,10 +118,12 @@ def ked_excess_loss_db(v: float) -> float:
     """
     if not math.isfinite(v):
         raise ValueError("invalid diffraction parameter")
-    c, s = fresnel_integrals(-v)
-    magnitude = math.hypot(1.0 - c - s, c - s) / 2.0
-    if magnitude == 0.0:
-        return math.inf
+    if -v > _SERIES_CUTOFF:
+        # In the shadow 1 - C - S cancels; |F| = |(0.5 - C) + j(0.5 - S)| / sqrt(2).
+        magnitude = abs(_fresnel_continued_fraction(-v)) / math.sqrt(2.0)
+    else:
+        c, s = fresnel_integrals(-v)
+        magnitude = math.hypot(1.0 - c - s, c - s) / 2.0
     return -20.0 * math.log10(magnitude)
 
 

@@ -16,7 +16,7 @@ from typing import TextIO
 from .coverage import FadingModel, LinkBudget, coverage_probability
 from .diffraction import fresnel_radius, total_path_loss_db, wavelength
 from .geometry import SceneGeometry
-from .los import GridSpec, critical_frequency, p_los_closed, p_los_grid, p_los_optical
+from .los import GridSpec, critical_frequency, p_los_closed, p_los_grids, p_los_optical
 
 
 class ConfigError(Exception):
@@ -60,6 +60,8 @@ _SCENE_KEYS = ("room_m", "window_m", "bs_distance_m", "theta_deg")
 # rejected before anything is allocated.
 MAX_POINTS = 100_000
 MAX_ORACLE_N = 10_000
+# Largest grid work, points x oracle_n columns, at 1-3 us a column: 10-30 s.
+MAX_GRID_COLUMNS = 10_000_000
 
 
 @dataclass
@@ -94,6 +96,8 @@ class SweepSpec:
         # Checked before values() builds the list; also rejects an infinite count.
         if not (self.stop - self.start) / self.step + 1e-9 < MAX_POINTS:
             raise ConfigError(f"sweep has more than {MAX_POINTS} points")
+        if "p_los_grid" in self.outputs and len(self.values()) * self.oracle_n > MAX_GRID_COLUMNS:
+            raise ConfigError(f"grid oracle over more than {MAX_GRID_COLUMNS} columns")
 
     def values(self) -> list[float]:
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
@@ -123,68 +127,69 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"'{key}' must be an integer, got {value!r}") from None
 
 
-def _scene_from(values: dict[str, float]) -> SceneGeometry:
-    return SceneGeometry(
-        room_side=values["room_m"],
-        window_width=values["window_m"],
-        bs_distance=values["bs_distance_m"],
-        bs_angle=math.radians(values["theta_deg"]),
-    )
+def _scene_from(v: dict[str, float]) -> SceneGeometry:
+    theta = math.radians(v["theta_deg"])
+    return SceneGeometry(v["room_m"], v["window_m"], v["bs_distance_m"], theta)
 
 
-def _fading_from(values: dict[str, float]) -> FadingModel:
-    return FadingModel(
-        m_los=values["m_los"],
-        m_nlos=values["m_nlos"],
-        n_los=values["n_los"],
-        n_nlos=values["n_nlos"],
-    )
+def _fading_from(v: dict[str, float]) -> FadingModel:
+    return FadingModel(v["m_los"], v["m_nlos"], v["n_los"], v["n_nlos"])
 
 
-def _budget_from(values: dict[str, float]) -> LinkBudget:
-    return LinkBudget(
-        frequency=values["frequency_hz"],
-        tx_power_dbm=values["tx_power_dbm"],
-        noise_floor_dbm=values["noise_dbm"],
-        snr_threshold_db=values["snr_threshold_db"],
-    )
+def _budget_from(v: dict[str, float]) -> LinkBudget:
+    return LinkBudget(v["frequency_hz"], v["tx_power_dbm"], v["noise_dbm"], v["snr_threshold_db"])
 
 
-def _path_loss_db(values: dict[str, float], spec: SweepSpec) -> float:
+def _path_loss_db(values: dict[str, float]) -> float:
     lam = wavelength(values["frequency_hz"])
     d1, d2 = values["d1_m"], values["d2_m"]
     delta = values["delta_over_rd"] * fresnel_radius(d1, d2, lam)
     return total_path_loss_db(d1, d2, delta, lam)
 
 
-def _p_cov(v: dict[str, float], spec: SweepSpec) -> float:
+def _p_cov(v: dict[str, float]) -> float:
     return coverage_probability(
         v["bs_distance_m"], v["ms_distance_m"], v["window_m"], _fading_from(v), _budget_from(v)
     ).p_cov
+
+
+def _each(evaluate):
+    """Column of evaluate over the points {**fixed, swept: value}; a failure names its value."""
+    def at(value: float, spec: SweepSpec) -> float:
+        try:
+            return evaluate({**spec.fixed, spec.swept: value})
+        except (ValueError, ArithmeticError) as err:
+            raise ValueError(f"at {spec.swept}={value!r}: {err}") from err
+
+    return lambda values, spec: [at(value, spec) for value in values]
 
 
 _LINK_KEYS = (
     "bs_distance_m", "ms_distance_m", "window_m", "frequency_hz", "tx_power_dbm",
     "noise_dbm", "snr_threshold_db", "m_los", "m_nlos", "n_los", "n_nlos",
 )
-# Each output: its evaluator of (point values, spec) and the keys it reads.
+# Each output: its evaluator of (swept values, spec) to one value per point,
+# and the keys it reads.  The grid oracle takes all points in one batch.
 OUTPUTS = {
     "p_los_closed": (
-        lambda v, spec: p_los_closed(_scene_from(v), v["frequency_hz"]),
+        _each(lambda v: p_los_closed(_scene_from(v), v["frequency_hz"])),
         (*_SCENE_KEYS, "frequency_hz"),
     ),
     "p_los_grid": (
-        lambda v, spec: p_los_grid(_scene_from(v), v["frequency_hz"], GridSpec(spec.oracle_n)),
+        lambda values, spec: p_los_grids(
+            _each(lambda v: (_scene_from(v), wavelength(v["frequency_hz"])))(values, spec),
+            GridSpec(spec.oracle_n),
+        ),
         (*_SCENE_KEYS, "frequency_hz"),
     ),
     "p_los_optical": (
-        lambda v, spec: p_los_optical(_scene_from(v)),
+        _each(lambda v: p_los_optical(_scene_from(v))),
         ("room_m", "window_m", "bs_distance_m"),
     ),
-    "path_loss_db": (_path_loss_db, ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
-    "p_cov": (_p_cov, _LINK_KEYS),
+    "path_loss_db": (_each(_path_loss_db), ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
+    "p_cov": (_each(_p_cov), _LINK_KEYS),
     "critical_frequency_hz": (
-        lambda v, spec: critical_frequency(_scene_from(v)),
+        _each(lambda v: critical_frequency(_scene_from(v))),
         ("window_m", "bs_distance_m", "room_m"),
     ),
 }
@@ -253,18 +258,12 @@ def parse_config(text: str) -> SweepSpec:
 
 def run_sweep(spec: SweepSpec) -> RunRecord:
     """Evaluate every output at every point; a failing or non-finite one raises ValueError."""
-    rows: list[tuple[float, ...]] = []
-    for value in spec.values():
-        point = dict(spec.fixed)
-        point[spec.swept] = value
-        try:
-            row = tuple(OUTPUTS[name][0](point, spec) for name in spec.outputs)
-        except (ValueError, ArithmeticError) as err:
-            raise ValueError(f"at {spec.swept}={value!r}: {err}") from err
-        if not all(map(math.isfinite, row)):
-            named = dict(zip(spec.outputs, row))
-            raise ValueError(f"at {spec.swept}={value!r}: non-finite output {named}")
-        rows.append((value,) + row)
+    values = spec.values()
+    rows = list(zip(values, *(OUTPUTS[name][0](values, spec) for name in spec.outputs)))
+    for row in rows:
+        if not all(map(math.isfinite, row[1:])):
+            named = dict(zip(spec.outputs, row[1:]))
+            raise ValueError(f"at {spec.swept}={row[0]!r}: non-finite output {named}")
     return RunRecord(spec=spec, rows=rows)
 
 

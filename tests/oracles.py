@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own evaluation routes:
 Fresnel integrals come from adaptive quadrature of the defining integrals
-(or scipy.special where quadrature cannot reach), the regularized incomplete gamma from mpmath at 30 digits, visibility areas
+(or scipy.special where quadrature cannot reach, or mpmath at 60 digits in the
+far shadow), the regularized incomplete gamma from mpmath at 30 digits, visibility areas
 from polygon clipping, and the ring LoS fraction and the grid LoS count
 from brute-force evaluation of the per-point predicate.
 """
@@ -64,6 +65,18 @@ def ked_loss_by_scipy(clearance_v: float) -> float:
     s, c = fresnel(-clearance_v)
     magnitude = math.hypot(1.0 - c - s, c - s) / 2.0
     return -20.0 * math.log10(magnitude)
+
+
+def ked_loss_by_mpmath(clearance_v: float) -> float:
+    """Knife-edge loss in dB for the clearance-positive parameter, mpmath's C and S at 60 digits.
+
+    Sixty digits keep 1 - C - S accurate where C and S differ from 1/2 by
+    less than double precision resolves, out to |v| = 1e16 and beyond.
+    """
+    with mpmath.workdps(60):
+        w = mpmath.mpf(-clearance_v)
+        c, s = mpmath.fresnelc(w), mpmath.fresnels(w)
+        return float(-20 * mpmath.log10(mpmath.hypot(1 - c - s, c - s) / 2))
 
 
 def itu_j_db(nu: float) -> float:

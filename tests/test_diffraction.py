@@ -22,6 +22,7 @@ from oracles import (
     fresnel_by_quadrature,
     fresnel_grid_by_quadrature,
     itu_j_db,
+    ked_loss_by_mpmath,
     ked_loss_by_quadrature,
     ked_loss_by_scipy,
 )
@@ -138,6 +139,11 @@ class TestKedExcessLoss:
         assert math.isfinite(got)
         assert got == pytest.approx(ked_loss_by_scipy(-v), abs=1e-9)
         assert got == pytest.approx(itu_j_db(v), abs=0.1)
+
+    @pytest.mark.parametrize("v", [1e6, 1e10, 1e14, 1e16])
+    def test_far_shadow_matches_mpmath(self, v):
+        # 1 - C - S cancels here; the loss must come from 0.5 - C and 0.5 - S
+        assert ked_excess_loss_db(-v) == pytest.approx(ked_loss_by_mpmath(-v), rel=1e-12)
 
     def test_monotone_into_shadow(self):
         vs = np.arange(0.0, 10.0, 0.05)

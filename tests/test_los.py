@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from o2i_los.los import (
     los_half_angle,
     p_los_closed,
     p_los_grid,
+    p_los_grids,
     p_los_optical,
 )
+from o2i_los.sweep import parse_config, run_sweep
 
 from oracles import dense_los_count, visible_area_fraction
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 F_28 = 28e9
 LAM_28 = wavelength(F_28)
 
@@ -237,29 +241,29 @@ class TestPLosGrid:
         lam = (1.0 / LOS_CLEARANCE_RATIO) ** 2 * (depth + 5.0) / (5.0 * depth)
         frequency = SPEED_OF_LIGHT / lam
         dense_columns = []
-        clearances = los.clearances
+        predicate = los._clearances
 
-        def spy(sc, x, y, wavelength_m):
-            if np.ndim(x) == 2:
+        def spy(bs_x, bs_y, half_window, x, y, wavelength_m):
+            if np.shape(x)[1:] == (1,):  # the dense path's column of depths
                 dense_columns.extend(np.ravel(x))
-            return clearances(sc, x, y, wavelength_m)
+            return predicate(bs_x, bs_y, half_window, x, y, wavelength_m)
 
-        monkeypatch.setattr(los, "clearances", spy)
+        monkeypatch.setattr(los, "_clearances", spy)
         got = p_los_grid(scene(), frequency, GridSpec(n))
         assert dense_columns == [depth]
         assert got == dense_los_count(20.0, 2.0, 5.0, 0.0, frequency, n) / n**2
 
     @staticmethod
     def spy_on_clearances(monkeypatch):
-        """Record the receiver count of each los.clearances call."""
+        """Record the receiver-depth count of each call of the grid's predicate."""
         calls = []
-        clearances = los.clearances
+        predicate = los._clearances
 
-        def spy(sc, x, y, wavelength_m):
+        def spy(bs_x, bs_y, half_window, x, y, wavelength_m):
             calls.append(np.size(x))
-            return clearances(sc, x, y, wavelength_m)
+            return predicate(bs_x, bs_y, half_window, x, y, wavelength_m)
 
-        monkeypatch.setattr(los, "clearances", spy)
+        monkeypatch.setattr(los, "_clearances", spy)
         return calls
 
     def test_wrong_prediction_falls_back_to_bisection(self, monkeypatch):
@@ -279,6 +283,54 @@ class TestPLosGrid:
         got = p_los_grid(scene(angle=0.3), F_28, GridSpec(500))
         assert got == dense_los_count(20.0, 2.0, 5.0, 0.3, F_28, 500) / 500**2
         assert len(calls) == 2
+
+    def test_theta_sweep_two_predicate_calls_per_chunk(self, monkeypatch):
+        calls = self.spy_on_clearances(monkeypatch)
+        spec = parse_config((CONFIGS / "plos_vs_theta_28ghz.cfg").read_text())
+        record = run_sweep(spec)
+        assert (len(record.rows), spec.oracle_n) == (161, 500)
+        assert len(calls) == 2 * math.ceil(161 / (los._CHUNK_COLUMNS // 500))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(10, 400),
+        chunk=st.sampled_from([1, 10, 100, 1000, 3072, 100_000]),
+        scenes=st.lists(
+            st.tuples(
+                st.floats(-89.0, 89.0), st.floats(8.0, 11.0), st.floats(1.0, 100.0),
+                st.floats(0.01, 1.0), st.floats(0.5, 100.0),
+                st.one_of(st.none(), st.floats(0.2, 1.0)),
+            ),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_batch_equals_per_point_grids(self, n, chunk, scenes):
+        points, per_point, expected = [], [], []
+        for deg, log_f, room, window_share, dist, below_critical in scenes:
+            window, theta = room * window_share, math.radians(deg)
+            sc = scene(room=room, window=window, dist=dist, angle=theta)
+            frequency = 10.0**log_f
+            if below_critical is not None:
+                frequency = below_critical * critical_frequency(sc)
+            points.append((sc, wavelength(frequency)))
+            per_point.append(p_los_grid(sc, frequency, GridSpec(n)))
+            expected.append(dense_los_count(room, window, dist, theta, frequency, n) / n**2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(los, "_CHUNK_COLUMNS", chunk)
+            assert p_los_grids(points, GridSpec(n)) == per_point == expected
+
+    def test_batch_with_near_zero_column(self, monkeypatch):
+        # A point whose column 50 of 101 is counted densely, between two that are not.
+        n, depth = 101, 50.5 * 20.0 / 101
+        lam = (1.0 / LOS_CLEARANCE_RATIO) ** 2 * (depth + 5.0) / (5.0 * depth)
+        frequencies = [F_28, SPEED_OF_LIGHT / lam, F_28]
+        scenes = [scene(angle=0.3), scene(), scene(window=5.0)]
+        expected = [p_los_grid(sc, f, GridSpec(n)) for sc, f in zip(scenes, frequencies)]
+        points = [(sc, wavelength(f)) for sc, f in zip(scenes, frequencies)]
+        calls = self.spy_on_clearances(monkeypatch)
+        assert p_los_grids(points, GridSpec(n)) == expected
+        assert calls[0] == 3 * n and calls[-1] == 1  # one pass, then one dense column
+        assert expected[1] == dense_los_count(20.0, 2.0, 5.0, 0.0, frequencies[1], n) / n**2
 
     def test_mirror_symmetry(self):
         up = p_los_grid(scene(angle=0.4), F_28, GridSpec(400))

@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from o2i_los import cli, diffraction, los
+from o2i_los import cli, diffraction, los, sweep
 from o2i_los.cli import main
 from o2i_los.coverage import LinkBudget, mean_snr
 from o2i_los.diffraction import SPEED_OF_LIGHT, free_space_path_loss_db, wavelength
 from o2i_los.geometry import SceneGeometry
 from o2i_los.los import clearances
 from o2i_los.sweep import (
+    MAX_GRID_COLUMNS,
     MAX_ORACLE_N,
     MAX_POINTS,
     OUTPUTS,
@@ -126,6 +127,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"between 10 and {MAX_ORACLE_N}"):
             parse_config(base + str(MAX_ORACLE_N + 1))
 
+    def test_grid_work_cap(self):
+        # points x oracle_n is checked at parse time, before any grid is evaluated
+        base = f"sweep=theta_deg\nstart=0\nstep=1\noracle_n={MAX_ORACLE_N}\n"
+        points = MAX_GRID_COLUMNS // MAX_ORACLE_N
+        assert parse_config(base + f"stop={points - 1}\noutputs=p_los_grid")
+        with pytest.raises(ConfigError, match=f"more than {MAX_GRID_COLUMNS} columns"):
+            parse_config(base + f"stop={points}\noutputs=p_los_closed,p_los_grid")
+        assert parse_config(base + f"stop={points}\noutputs=p_los_closed")
+
     def test_bad_assignment_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("sweep=theta_deg\njust words\nstart=0\nstop=1\nstep=1")
@@ -140,9 +150,14 @@ class TestRunSweep:
         assert len(run_sweep(spec).rows) == 601
 
     def test_domain_error_reports_offending_value(self):
-        spec = parse_config("sweep=theta_deg\nstart=85\nstop=95\nstep=5\noutputs=p_los_closed")
-        with pytest.raises(ValueError, match="theta_deg=90.0"):
-            run_sweep(spec)
+        for sweep_range, match in [
+            ("sweep=theta_deg\nstart=85\nstop=95\nstep=5", "theta_deg=90.0"),
+            ("sweep=frequency_hz\nstart=-1e9\nstop=1e9\nstep=1e9", "frequency_hz=-1000000000.0"),
+        ]:
+            for outputs in ("p_los_closed", "p_los_grid"):
+                spec = parse_config(f"{sweep_range}\noutputs={outputs}")
+                with pytest.raises(ValueError, match=match):
+                    run_sweep(spec)
 
     @pytest.mark.filterwarnings("error")
     def test_extreme_standoff_grid_warns_nothing(self):
@@ -323,6 +338,13 @@ class TestCli:
         assert main(["sweep", "--config", cfg]) == 2
         assert f"between 10 and {MAX_ORACLE_N}" in capsys.readouterr().err
 
+    def test_config_grid_work_capped_exit_2(self, tmp_path, capsys):
+        # 32001 points x oracle_n 500
+        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=-80\nstop=80\nstep=0.005\n"
+                                   "outputs=p_los_grid\n")
+        assert main(["sweep", "--config", cfg]) == 2
+        assert f"more than {MAX_GRID_COLUMNS} columns" in capsys.readouterr().err
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -342,12 +364,24 @@ class TestCli:
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\n"
              "outputs=p_los_closed\n",
              "bs_distance_m=3.0999999999999997e+307: Fresnel radius is not finite"),
-            # deep shadow: the knife-edge loss is inf and the row is rejected
-            ("sweep=delta_over_rd\nstart=-2e16\nstop=-1e16\nstep=1e16\noutputs=path_loss_db\n",
-             "delta_over_rd=-2e+16: non-finite output {'path_loss_db': inf}"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
             assert message in capsys.readouterr().err
+
+    def test_non_finite_output_exit_3(self, tmp_path, capsys, monkeypatch):
+        # No output is known to return inf for a valid point since the deep
+        # shadow became finite; a stubbed loss stands in to reach the row check.
+        monkeypatch.setattr(sweep, "total_path_loss_db", lambda d1, d2, delta, lam: math.inf)
+        text = "sweep=delta_over_rd\nstart=-2e16\nstop=-1e16\nstep=1e16\noutputs=path_loss_db\n"
+        assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
+        assert ("delta_over_rd=-2e+16: non-finite output {'path_loss_db': inf}"
+                in capsys.readouterr().err)
+
+    def test_deep_shadow_sweep_finite(self):
+        text = "sweep=delta_over_rd\nstart=-2e16\nstop=-1e16\nstep=1e16\noutputs=path_loss_db"
+        record = run_sweep(parse_config(text))
+        assert [round(loss - free_space_path_loss_db(28.0, SPEED_OF_LIGHT / 28e9), 3)
+                for _, loss in record.rows] == [341.984, 335.964]
 
     def test_gamma_non_convergence_exit_3(self, tmp_path, capsys):
         # threshold at the mean LoS SNR of the 25 m ring: Q(1e5, 1e5) does not converge
