@@ -197,10 +197,9 @@ def coverage_mc_oracle(
     Each chunk of trials draws its LoS count K ~ Binomial(n, p_los), then K
     LoS gains and n - K NLoS gains, and counts each group's SNRs above the
     threshold: given K the gains of a state are i.i.d., so the covered count
-    has the distribution of per-trial state draws.  Chunks have a fixed size
-    and their generators (PCG64) are spawned from SeedSequence(seed), so the
-    estimate depends only on the seed and trial count, not on how chunks are
-    scheduled.
+    has the distribution of per-trial state draws.  Chunks of a fixed size,
+    which bound memory, draw in order from one generator, default_rng(seed),
+    so the estimate depends only on the seed and trial count.
     """
     import numpy as np
 
@@ -214,12 +213,10 @@ def coverage_mc_oracle(
     snr_nlos = mean_snr(d, fading.n_nlos, budget)
     threshold = 10.0 ** (budget.snr_threshold_db / 10.0)
 
-    n_chunks = (trials + _MC_CHUNK - 1) // _MC_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    rng = np.random.default_rng(seed)
     covered = 0
-    for i, child in enumerate(children):
-        n = min(_MC_CHUNK, trials - i * _MC_CHUNK)
-        rng = np.random.default_rng(child)
+    for start in range(0, trials, _MC_CHUNK):
+        n = min(_MC_CHUNK, trials - start)
         n_los = int(rng.binomial(n, p_los))
         gain_los = rng.gamma(fading.m_los, 1.0 / fading.m_los, n_los)
         gain_nlos = rng.gamma(fading.m_nlos, 1.0 / fading.m_nlos, n - n_los)

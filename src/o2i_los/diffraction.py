@@ -56,6 +56,10 @@ def _fresnel_continued_fraction(x: float) -> complex:
     # error function of (1-j)*sqrt(pi)/2*x, which carries both integrals;
     # at most 47 iterations above the cutoff.  Returns (0.5 - C) + j(0.5 - S).
     pix2 = math.pi * x * x
+    if math.isinf(pix2):
+        # Beyond |x| ~ 7.6e153: the leading term j exp(j pix2 / 2) / (pi x), whose
+        # magnitude is exact there and whose phase 0.5 - C and 0.5 - S cannot resolve.
+        return complex(0.0, (1.0 / math.pi) / x)
     b = complex(1.0, -pix2)
     cc = complex(1e300, 0.0)
     d = 1.0 / b

@@ -77,7 +77,6 @@ class LosEvaluation:
     p_optical: float
     below_critical: bool
     p_grid: float | None = None
-    clamped: bool = False
 
 
 def los_half_angle(scene: SceneGeometry, wavelength_m: float) -> float:
@@ -96,19 +95,15 @@ def los_half_angle(scene: SceneGeometry, wavelength_m: float) -> float:
     return max(raw, 0.0)
 
 
-def _closed_form_raw(scene: SceneGeometry, frequency: float) -> float:
+def p_los_closed(scene: SceneGeometry, frequency: float) -> float:
+    """Closed-form LoS probability for a uniformly placed indoor receiver."""
     phi = los_half_angle(scene, wavelength(frequency))
     if phi <= 0.0:
         return 0.0
     d1 = bs_to_window_distance(scene)
     d2 = window_to_far_wall_distance(scene)
     # Wedge between radii d1 and d1+d2 subtending 2*phi, over the room area.
-    return phi * d2 * (d2 + 2.0 * d1) / scene.room_side**2
-
-
-def p_los_closed(scene: SceneGeometry, frequency: float) -> float:
-    """Closed-form LoS probability for a uniformly placed indoor receiver."""
-    return min(_closed_form_raw(scene, frequency), 1.0)
+    return min(phi * d2 * (d2 + 2.0 * d1) / scene.room_side**2, 1.0)
 
 
 def p_los_optical(scene: SceneGeometry) -> float:
@@ -297,11 +292,9 @@ def evaluate(
     scene: SceneGeometry, frequency: float, grid: GridSpec | None = None
 ) -> LosEvaluation:
     """All LoS probability routes for one scene and carrier frequency."""
-    raw = _closed_form_raw(scene, frequency)
     return LosEvaluation(
-        p_closed=min(raw, 1.0),
+        p_closed=p_los_closed(scene, frequency),
         p_optical=p_los_optical(scene),
         below_critical=frequency <= critical_frequency(scene),
         p_grid=None if grid is None else p_los_grid(scene, frequency, grid),
-        clamped=raw > 1.0,
     )

@@ -10,7 +10,7 @@ re-parsed into the SweepSpec that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import TextIO
 
 from .coverage import FadingModel, LinkBudget, coverage_probability
@@ -30,13 +30,11 @@ _NUMERIC_DEFAULTS = {
     "theta_deg": 0.0,
     "frequency_hz": 28e9,
     "ms_distance_m": 20.0,
-    "tx_power_dbm": 30.0,
-    "noise_dbm": -100.0,
-    "snr_threshold_db": -5.0,
-    "m_los": 10.0,
-    "m_nlos": 1.0,
-    "n_los": 1.2,
-    "n_nlos": 2.9,
+    # The link-budget and fading defaults are held by LinkBudget and FadingModel.
+    **{
+        "noise_dbm" if f.name == "noise_floor_dbm" else f.name: f.default
+        for f in fields(LinkBudget) + fields(FadingModel) if f.default is not MISSING
+    },
     "d1_m": 8.0,
     "d2_m": 20.0,
     "delta_over_rd": 1.0,

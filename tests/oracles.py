@@ -68,12 +68,14 @@ def ked_loss_by_scipy(clearance_v: float) -> float:
 
 
 def ked_loss_by_mpmath(clearance_v: float) -> float:
-    """Knife-edge loss in dB for the clearance-positive parameter, mpmath's C and S at 60 digits.
+    """Knife-edge loss in dB for the clearance-positive parameter, from mpmath's C and S.
 
-    Sixty digits keep 1 - C - S accurate where C and S differ from 1/2 by
-    less than double precision resolves, out to |v| = 1e16 and beyond.
+    At max(60, log10|v| + 40) digits, 1 - C - S stays accurate where C and
+    S differ from 1/2 by less than double precision resolves; at a fixed 60
+    digits mpmath returns C = S = 1/2 from |v| ~ 1e62.
     """
-    with mpmath.workdps(60):
+    digits = 60 if clearance_v == 0 else max(60, int(math.log10(abs(clearance_v))) + 40)
+    with mpmath.workdps(digits):
         w = mpmath.mpf(-clearance_v)
         c, s = mpmath.fresnelc(w), mpmath.fresnels(w)
         return float(-20 * mpmath.log10(mpmath.hypot(1 - c - s, c - s) / 2))

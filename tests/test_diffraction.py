@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -86,8 +87,17 @@ class TestFresnelIntegrals:
             assert abs(c) <= 0.9 and abs(s) <= 0.9
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="invalid diffraction parameter"):
-            fresnel_integrals(math.nan)
+        for v in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="invalid diffraction parameter"):
+                fresnel_integrals(v)
+            with pytest.raises(ValueError, match="invalid diffraction parameter"):
+                ked_excess_loss_db(v)
+
+    def test_pi_x_squared_overflow_gives_the_limit(self):
+        # pi v^2 overflows above |v| ~ 7.6e153; the integrals' limit is +-1/2
+        assert fresnel_integrals(1e160) == (0.5, 0.5)
+        assert fresnel_integrals(-1e160) == (-0.5, -0.5)
+        assert abs(ked_excess_loss_db(1e160)) <= 1e-12
 
 
 class TestDiffractionParameter:
@@ -140,10 +150,19 @@ class TestKedExcessLoss:
         assert got == pytest.approx(ked_loss_by_scipy(-v), abs=1e-9)
         assert got == pytest.approx(itu_j_db(v), abs=0.1)
 
-    @pytest.mark.parametrize("v", [1e6, 1e10, 1e14, 1e16])
+    @pytest.mark.parametrize("v", [1e6, 1e10, 1e14, 1e16, 1e154, 1e200])
     def test_far_shadow_matches_mpmath(self, v):
-        # 1 - C - S cancels here; the loss must come from 0.5 - C and 0.5 - S
+        # 1 - C - S cancels here; the loss must come from 0.5 - C and 0.5 - S.
+        # From |v| ~ 7.6e153 pi v^2 overflows and the leading term serves.
         assert ked_excess_loss_db(-v) == pytest.approx(ked_loss_by_mpmath(-v), rel=1e-12)
+
+    @pytest.mark.parametrize("v", [1e300, 1.7976931348623157e308])
+    def test_far_shadow_leading_term(self, v):
+        # 20 log10(pi sqrt(2) |v|): beyond the reach of mpmath's Fresnel integrals,
+        # and finite up to the largest float
+        with mpmath.workdps(30):
+            leading = float(20 * mpmath.log10(mpmath.pi * mpmath.sqrt(2) * mpmath.mpf(v)))
+        assert ked_excess_loss_db(-v) == pytest.approx(leading, rel=1e-12)
 
     def test_monotone_into_shadow(self):
         vs = np.arange(0.0, 10.0, 0.05)

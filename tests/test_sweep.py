@@ -197,6 +197,40 @@ class TestRunSweep:
         for row1, row2, row3 in zip(*curves):
             assert row3[1] >= row2[1] >= row1[1]
 
+    # A second valid value of each numeric key, and a range of each sweepable one.
+    OTHER_VALUE = {
+        "room_m": 30.0, "window_m": 3.0, "bs_distance_m": 8.0, "theta_deg": 10.0,
+        "frequency_hz": 60e9, "ms_distance_m": 10.0, "tx_power_dbm": 20.0, "noise_dbm": -90.0,
+        "snr_threshold_db": 0.0, "m_los": 2.0, "m_nlos": 2.0, "n_los": 1.5, "n_nlos": 3.2,
+        "d1_m": 10.0, "d2_m": 15.0, "delta_over_rd": 0.5,
+    }
+    SWEEP_RANGE = {
+        "theta_deg": (-20, 20, 20), "frequency_hz": (1e10, 3e10, 1e10), "window_m": (1, 3, 1),
+        "room_m": (10, 30, 10), "bs_distance_m": (2, 8, 3), "delta_over_rd": (-2, 2, 2),
+    }
+
+    @pytest.mark.parametrize("output", list(OUTPUTS))
+    def test_output_reads_exactly_its_declared_keys(self, output):
+        # A key outside the declared reads leaves the column's bits alone, and
+        # each declared key, the swept one too, moves it.  At the default
+        # threshold LoS coverage is 1.0, so m_los and n_los show only at 60 dB.
+        assert set(self.OTHER_VALUE) == set(sweep._NUMERIC_DEFAULTS)
+        reads = OUTPUTS[output][1]
+        swept = next(key for key in sweep.SWEEPABLE if key in reads)
+        start, stop, step = self.SWEEP_RANGE[swept]
+
+        def column(fixed):
+            lines = [f"sweep={swept}", f"start={start}", f"stop={stop}", f"step={step}",
+                     f"outputs={output}", "oracle_n=50", *(f"{k}={v!r}" for k, v in fixed.items())]
+            return [row[1].hex() for row in run_sweep(parse_config("\n".join(lines))).rows]
+
+        bases = [{}, {"snr_threshold_db": 60.0}]
+        assert len(set(column({}))) > 1, swept
+        for key, other in self.OTHER_VALUE.items():
+            if key != swept:
+                changed = [column({**base, key: other}) != column(base) for base in bases]
+                assert any(changed) == (key in reads), key
+
 
 class TestEmitCsv:
     def test_empty_outputs_single_column(self):
@@ -301,13 +335,16 @@ class TestCli:
         path.write_text(text)
         return str(path)
 
-    def test_sweep_to_file(self, tmp_path):
+    def test_sweep_to_file(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "sweep=theta_deg\nstart=-20\nstop=20\nstep=10\n")
         out = tmp_path / "result.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         content = out.read_text()
         assert content.startswith("# o2i-los")
         assert "theta_deg,p_los_closed" in content
+        unwritable = tmp_path / "absent" / "result.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(unwritable)]) == 1
+        assert "cannot write output" in capsys.readouterr().err
 
     def test_config_seed_and_oracle_n_echoed(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "sweep=theta_deg\nstart=0\nstop=10\nstep=5\n"
@@ -354,6 +391,9 @@ class TestCli:
             # windows beyond the 20 m room, rejected like every other scene output
             ("sweep=window_m\nstart=18\nstop=24\nstep=2\noutputs=critical_frequency_hz\n",
              "window_m=22.0: window exceeds room"),
+            # a negative receiver depth, named at the first point
+            ("sweep=bs_distance_m\nstart=5\nstop=6\nstep=1\noutputs=p_cov\nms_distance_m=-5\n",
+             "bs_distance_m=5.0: d_a, d_n and window_width must be positive"),
             # d**exponent overflows in mean_snr
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_cov\n",
              "bs_distance_m=1e+306"),
@@ -382,6 +422,15 @@ class TestCli:
         record = run_sweep(parse_config(text))
         assert [round(loss - free_space_path_loss_db(28.0, SPEED_OF_LIGHT / 28e9), 3)
                 for _, loss in record.rows] == [341.984, 335.964]
+
+    def test_overflowing_fresnel_argument_exit_0(self, tmp_path, capsys):
+        # pi v^2 overflows at v = 1.4e160; the loss takes its finite asymptote
+        cfg = self.write(tmp_path, "sweep=delta_over_rd\nstart=-1e160\nstop=1e160\nstep=1e160\n"
+                                   "outputs=path_loss_db\n")
+        assert main(["sweep", "--config", cfg]) == 0
+        rows = capsys.readouterr().out.splitlines()[-3:]
+        assert [row.split(",")[0] for row in rows] == ["-1e+160", "0.0", "1e+160"]
+        assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
     def test_gamma_non_convergence_exit_3(self, tmp_path, capsys):
         # threshold at the mean LoS SNR of the 25 m ring: Q(1e5, 1e5) does not converge
