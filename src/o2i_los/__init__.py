@@ -25,14 +25,9 @@ from .diffraction import (
     total_path_loss_db,
     wavelength,
 )
-from .geometry import (
-    CORNER_RAY_ANGLE,
-    SceneGeometry,
-    bs_position,
-    bs_to_window_distance,
-    window_to_far_wall_distance,
-)
+from .geometry import SceneGeometry, bs_position
 from .los import (
+    CORNER_RAY_ANGLE,
     LOS_CLEARANCE_RATIO,
     GridSpec,
     Clearances,
@@ -40,7 +35,6 @@ from .los import (
     clearances,
     critical_frequency,
     evaluate,
-    los_half_angle,
     p_los_closed,
     p_los_grid,
     p_los_grids,

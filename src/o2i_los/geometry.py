@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# A ray from deep in front of the window leaves the back wall for a side
-# wall at atan((L/2)/L); independent of the room size for a square room.
-CORNER_RAY_ANGLE = math.atan(0.5)
-
-
 @dataclass(frozen=True)
 class SceneGeometry:
     """Square room with a centred window and a base station out front.
@@ -54,19 +49,3 @@ def bs_position(scene: SceneGeometry) -> tuple[float, float]:
     """
     return -scene.bs_distance, -scene.bs_distance * math.tan(scene.bs_angle)
 
-
-def bs_to_window_distance(scene: SceneGeometry) -> float:
-    """Length of the central ray from the base station to the window centre."""
-    return scene.bs_distance / math.cos(scene.bs_angle)
-
-
-def window_to_far_wall_distance(scene: SceneGeometry) -> float:
-    """Length of the central ray from the window centre to the wall it hits.
-
-    The ray reaches the back wall for aspect angles inside the corner-ray
-    angle and a side wall beyond it; both branches agree at the corner ray.
-    """
-    theta = scene.bs_angle
-    if abs(theta) < CORNER_RAY_ANGLE:
-        return scene.room_side / math.cos(theta)
-    return scene.room_side / (2.0 * abs(math.sin(theta)))

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .diffraction import SPEED_OF_LIGHT, fresnel_radius, wavelength
-from .geometry import (
-    SceneGeometry,
-    bs_position,
-    bs_to_window_distance,
-    window_to_far_wall_distance,
-)
+from .geometry import SceneGeometry, bs_position
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,6 +41,10 @@ if TYPE_CHECKING:
 # A link is LoS when both window edges clear this fraction of the first
 # Fresnel zone radius.
 LOS_CLEARANCE_RATIO = 0.6
+
+# A ray from deep in front of the window leaves the back wall for a side
+# wall at atan((L/2)/L); independent of the room size for a square room.
+CORNER_RAY_ANGLE = math.atan(0.5)
 
 # A grid column whose largest normalised margin lies within this share of
 # the room side of zero is counted densely.
@@ -79,30 +78,27 @@ class LosEvaluation:
     p_grid: float | None = None
 
 
-def los_half_angle(scene: SceneGeometry, wavelength_m: float) -> float:
-    """Half-angle subtended at the base station by the LoS wedge, radians.
-
-    Floored at zero: below the critical frequency the Fresnel clearance
-    consumes the whole window and no LoS wedge exists.
-    """
-    rd = fresnel_radius(
-        bs_to_window_distance(scene), window_to_far_wall_distance(scene), wavelength_m
-    )
-    cos_t = math.cos(scene.bs_angle)
-    raw = (scene.window_width * cos_t * cos_t - 2.0 * LOS_CLEARANCE_RATIO * rd * cos_t) / (
-        2.0 * scene.bs_distance
-    )
-    return max(raw, 0.0)
-
-
 def p_los_closed(scene: SceneGeometry, frequency: float) -> float:
-    """Closed-form LoS probability for a uniformly placed indoor receiver."""
-    phi = los_half_angle(scene, wavelength(frequency))
+    """Closed-form LoS probability for a uniformly placed indoor receiver.
+
+    The area of the wedge of half-angle phi about the central ray through
+    the window centre, between radii d1 and d1 + d2, over the room area;
+    d2 runs on to the back wall inside CORNER_RAY_ANGLE, to a side wall
+    beyond it.  Below the critical frequency phi <= 0 and no wedge exists.
+    """
+    lam = wavelength(frequency)
+    theta = scene.bs_angle
+    cos_t = math.cos(theta)
+    d1 = scene.bs_distance / cos_t
+    if abs(theta) < CORNER_RAY_ANGLE:
+        d2 = scene.room_side / cos_t
+    else:
+        d2 = scene.room_side / (2.0 * abs(math.sin(theta)))
+    rd = fresnel_radius(d1, d2, lam)
+    aperture = scene.window_width * cos_t * cos_t - 2.0 * LOS_CLEARANCE_RATIO * rd * cos_t
+    phi = aperture / (2.0 * scene.bs_distance)
     if phi <= 0.0:
         return 0.0
-    d1 = bs_to_window_distance(scene)
-    d2 = window_to_far_wall_distance(scene)
-    # Wedge between radii d1 and d1+d2 subtending 2*phi, over the room area.
     return min(phi * d2 * (d2 + 2.0 * d1) / scene.room_side**2, 1.0)
 
 
@@ -197,6 +193,8 @@ def p_los_grids(points, grid: GridSpec) -> list[float]:
     The counts are exact and do not depend on the chunking, and a chunk
     whose columns all pass the check takes two predicate calls.
     """
+    if not all(0 < wavelength_m < math.inf for _, wavelength_m in points):
+        raise ValueError("wavelength must be positive and finite")
     size = max(1, _CHUNK_COLUMNS // grid.n)
     return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], grid.n)]
 

@@ -233,6 +233,10 @@ def parse_config(text: str) -> SweepSpec:
         _budget_from(numeric)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    # Lengths no type owns; none is sweepable, so this sees every value they take.
+    for key in ("ms_distance_m", "d1_m", "d2_m"):
+        if not numeric[key] > 0:
+            raise ConfigError(f"{key} must be positive")
 
     if swept is None:
         raise ConfigError("missing key 'sweep'")

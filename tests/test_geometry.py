@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from o2i_los.diffraction import wavelength
-from o2i_los.geometry import (
-    CORNER_RAY_ANGLE,
-    SceneGeometry,
-    bs_position,
-    bs_to_window_distance,
-    window_to_far_wall_distance,
-)
+from o2i_los.geometry import SceneGeometry, bs_position
 from o2i_los.los import clearances
 
 from oracles import edge_clearance
@@ -53,38 +47,6 @@ class TestBsPosition:
     def test_negative_angle_sign(self):
         _, y = bs_position(scene(angle=math.radians(-30)))
         assert y == pytest.approx(2.8868, abs=1e-4)
-
-
-class TestCentralRayDistances:
-    def test_d1_normal(self):
-        assert bs_to_window_distance(scene()) == pytest.approx(5.0)
-
-    def test_d1_60_degrees(self):
-        assert bs_to_window_distance(scene(angle=math.radians(60))) == pytest.approx(10.0)
-
-    def test_d1_at_corner_angle(self):
-        got = bs_to_window_distance(scene(dist=2.0, angle=math.atan(0.5)))
-        assert got == pytest.approx(2.2361, abs=1e-4)
-
-    def test_d2_normal(self):
-        assert window_to_far_wall_distance(scene()) == pytest.approx(20.0)
-
-    def test_d2_side_wall_45(self):
-        got = window_to_far_wall_distance(scene(angle=math.radians(45)))
-        assert got == pytest.approx(14.1421, abs=1e-4)
-
-    def test_d2_continuous_at_corner_ray(self):
-        for sign in (1.0, -1.0):
-            below = window_to_far_wall_distance(scene(angle=sign * (CORNER_RAY_ANGLE - 1e-13)))
-            above = window_to_far_wall_distance(scene(angle=sign * (CORNER_RAY_ANGLE + 1e-13)))
-            assert below == pytest.approx(above, rel=1e-12)
-            assert below == pytest.approx(20.0 * math.sqrt(5) / 2.0, rel=1e-12)
-
-    @given(st.floats(-1.5, 1.5), st.floats(0.5, 80.0), st.floats(5.0, 40.0))
-    def test_lower_bounds(self, angle, dist, room):
-        s = scene(room=room, window=1.0, dist=dist, angle=angle)
-        assert bs_to_window_distance(s) >= dist - 1e-12
-        assert window_to_far_wall_distance(s) >= room / 2 - 1e-12
 
 
 class TestIntrusionDistance:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from o2i_los import los
+from o2i_los import CORNER_RAY_ANGLE, los
 from o2i_los.diffraction import SPEED_OF_LIGHT, fresnel_radius, wavelength
 from o2i_los.geometry import SceneGeometry, bs_position
 from o2i_los.los import (
@@ -15,7 +15,6 @@ from o2i_los.los import (
     clearances,
     critical_frequency,
     evaluate,
-    los_half_angle,
     p_los_closed,
     p_los_grid,
     p_los_grids,
@@ -50,18 +49,6 @@ def closed_form_reference(theta, d_a, l_r, l_w, frequency):
     return min(max(first * second, 0.0), 1.0)
 
 
-class TestLosHalfAngle:
-    def test_vanishing_wavelength_limit(self):
-        assert los_half_angle(scene(), 1e-12) == pytest.approx(0.2, abs=1e-6)
-
-    def test_28ghz(self):
-        assert los_half_angle(scene(), wavelength(F_28)) == pytest.approx(0.17516, abs=1e-5)
-
-    def test_zero_at_critical_frequency(self):
-        fc = critical_frequency(scene())
-        assert los_half_angle(scene(), wavelength(fc)) == 0.0
-
-
 class TestPLosClosed:
     def test_reference_scene_28ghz(self):
         assert p_los_closed(scene(), F_28) == pytest.approx(0.2627, abs=1e-4)
@@ -76,6 +63,19 @@ class TestPLosClosed:
         theta = math.radians(deg)
         got = p_los_closed(scene(angle=theta), F_28)
         assert got == pytest.approx(closed_form_reference(theta, 5, 20, 2, F_28), rel=1e-12)
+
+    def test_vanishing_wavelength_limit(self):
+        # The Fresnel term drops out, and at zero aspect angle the wedge is the optical bound.
+        got = p_los_closed(scene(), SPEED_OF_LIGHT / 1e-12)
+        assert got == pytest.approx(p_los_optical(scene()), abs=1e-6)
+
+    def test_continuous_at_corner_ray(self):
+        # d2 switches from the back wall to a side wall at the corner ray.
+        for sign in (1.0, -1.0):
+            below = p_los_closed(scene(angle=sign * (CORNER_RAY_ANGLE - 1e-13)), F_28)
+            above = p_los_closed(scene(angle=sign * (CORNER_RAY_ANGLE + 1e-13)), F_28)
+            assert below > 0.0
+            assert below == pytest.approx(above, rel=1e-12)
 
     def test_side_wall_branch_against_grid(self):
         got = p_los_closed(scene(angle=math.radians(45)), F_28)
@@ -336,6 +336,11 @@ class TestPLosGrid:
         up = p_los_grid(scene(angle=0.4), F_28, GridSpec(400))
         down = p_los_grid(scene(angle=-0.4), F_28, GridSpec(400))
         assert up == pytest.approx(down, abs=0.005)
+
+    def test_bad_wavelength_rejected(self):
+        for wavelength_m in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+                p_los_grids([(scene(), LAM_28), (scene(), wavelength_m)], GridSpec(10))
 
     def test_grid_too_coarse_rejected(self):
         for n in (5, 10.5, 10.0):

@@ -61,6 +61,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="step must be positive"):
             parse_config("sweep=theta_deg\nstart=0\nstop=10\nstep=0")
 
+    @pytest.mark.parametrize("start", ["10", "11"])
+    def test_empty_range_rejected(self, start):
+        with pytest.raises(ConfigError, match="start must be less than stop"):
+            parse_config(f"sweep=theta_deg\nstart={start}\nstop=10\nstep=1")
+
     def test_window_exceeding_room_rejected(self):
         with pytest.raises(ConfigError, match="window exceeds room"):
             parse_config("window_m=25\nroom_m=20")
@@ -84,14 +89,25 @@ class TestParseConfig:
     def test_unsweepable_parameter(self):
         with pytest.raises(ConfigError, match="cannot sweep 'tx_power_dbm'"):
             parse_config("sweep=tx_power_dbm\nstart=0\nstop=10\nstep=1")
+        with pytest.raises(ConfigError, match="cannot sweep 'tx_power_dbm'"):
+            SweepSpec("tx_power_dbm", 0.0, 10.0, 1.0, {})
 
     def test_swept_also_fixed(self):
         with pytest.raises(ConfigError, match="must not also be fixed"):
             parse_config("sweep=theta_deg\ntheta_deg=5\nstart=0\nstop=10\nstep=1")
+        with pytest.raises(ConfigError, match="must not also be fixed"):
+            SweepSpec("theta_deg", 0.0, 10.0, 1.0, {"theta_deg": 5.0})
 
     def test_bad_number(self):
-        with pytest.raises(ConfigError, match="invalid number for 'start'"):
-            parse_config("sweep=theta_deg\nstart=abc\nstop=10\nstep=1")
+        base = "sweep=theta_deg\nstop=10\nstep=1\n"
+        for line, match in [
+            ("start=abc", "invalid number for 'start'"),
+            ("start=inf", "invalid number for 'start'"),
+            ("start=0\noracle_n=5.5", "'oracle_n' must be an integer"),
+            ("start=0\nseed=1e3", "'seed' must be an integer"),
+        ]:
+            with pytest.raises(ConfigError, match=match):
+                parse_config(base + line)
 
     def test_unknown_output(self):
         with pytest.raises(ConfigError, match="unknown output 'p_marginal'"):
@@ -382,6 +398,17 @@ class TestCli:
         assert main(["sweep", "--config", cfg]) == 2
         assert f"more than {MAX_GRID_COLUMNS} columns" in capsys.readouterr().err
 
+    def test_nonpositive_length_exit_2(self, tmp_path, capsys):
+        # Checked at parse time whether or not a requested output reads the key.
+        base = "sweep=theta_deg\nstart=0\nstop=10\nstep=5\noutputs=p_los_closed\n"
+        cases = [(base + f"{key}={value}\n", key) for key in ("ms_distance_m", "d1_m", "d2_m")
+                 for value in ("0", "-8")]
+        cases.append(("sweep=bs_distance_m\nstart=5\nstop=6\nstep=1\noutputs=p_cov\n"
+                      "ms_distance_m=-5\n", "ms_distance_m"))
+        for text, key in cases:
+            assert main(["sweep", "--config", self.write(tmp_path, text)]) == 2
+            assert f"{key} must be positive" in capsys.readouterr().err
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -391,9 +418,6 @@ class TestCli:
             # windows beyond the 20 m room, rejected like every other scene output
             ("sweep=window_m\nstart=18\nstop=24\nstep=2\noutputs=critical_frequency_hz\n",
              "window_m=22.0: window exceeds room"),
-            # a negative receiver depth, named at the first point
-            ("sweep=bs_distance_m\nstart=5\nstop=6\nstep=1\noutputs=p_cov\nms_distance_m=-5\n",
-             "bs_distance_m=5.0: d_a, d_n and window_width must be positive"),
             # d**exponent overflows in mean_snr
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_cov\n",
              "bs_distance_m=1e+306"),
