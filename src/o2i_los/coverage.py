@@ -38,13 +38,13 @@ class FadingModel:
 class LinkBudget:
     frequency: float  # Hz
     tx_power_dbm: float = 30.0
-    noise_floor_dbm: float = -100.0
+    noise_dbm: float = -100.0
     snr_threshold_db: float = -5.0
 
     def __post_init__(self):
         if not 0 < self.frequency < math.inf:
             raise ValueError("frequency must be positive and finite")
-        if not -math.inf < self.noise_floor_dbm < self.tx_power_dbm < math.inf:
+        if not -math.inf < self.noise_dbm < self.tx_power_dbm < math.inf:
             raise ValueError("noise floor must be below transmit power, both finite")
         if not -math.inf < self.snr_threshold_db < math.inf:
             raise ValueError("SNR threshold must be finite")
@@ -62,7 +62,7 @@ def mean_snr(d: float, exponent: float, budget: LinkBudget) -> float:
         raise ValueError("distance must be positive")
     lam = wavelength(budget.frequency)
     gain = lam**2 / (16.0 * math.pi**2 * d**exponent)
-    return gain * 10.0 ** ((budget.tx_power_dbm - budget.noise_floor_dbm) / 10.0)
+    return gain * 10.0 ** ((budget.tx_power_dbm - budget.noise_dbm) / 10.0)
 
 
 def p_los_at_distance(d_a: float, d_n: float, window_width: float, frequency: float) -> float:

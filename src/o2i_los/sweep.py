@@ -31,10 +31,8 @@ _NUMERIC_DEFAULTS = {
     "frequency_hz": 28e9,
     "ms_distance_m": 20.0,
     # The link-budget and fading defaults are held by LinkBudget and FadingModel.
-    **{
-        "noise_dbm" if f.name == "noise_floor_dbm" else f.name: f.default
-        for f in fields(LinkBudget) + fields(FadingModel) if f.default is not MISSING
-    },
+    **{f.name: f.default for f in fields(LinkBudget) + fields(FadingModel)
+       if f.default is not MISSING},
     "d1_m": 8.0,
     "d2_m": 20.0,
     "delta_over_rd": 1.0,
@@ -224,10 +222,11 @@ def parse_config(text: str) -> SweepSpec:
 
     # Surface fixed-value invariant violations before complaining about a
     # missing sweep range; values of the swept parameter are checked per
-    # point at run time instead, and a swept frequency_hz holds its
-    # positive default here.
+    # point at run time instead.  A swept key holds its default here, which
+    # passes every check except window <= room, the one check that ties a
+    # fixed key to a swept room_m or window_m.
     try:
-        if swept not in _SCENE_KEYS:
+        if swept not in ("room_m", "window_m"):
             _scene_from(numeric)
         _fading_from(numeric)
         _budget_from(numeric)

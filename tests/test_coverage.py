@@ -37,7 +37,7 @@ class TestConfigTypes:
         assert (fading.m_los, fading.m_nlos) == (10.0, 1.0)
         assert (fading.n_los, fading.n_nlos) == (1.2, 2.9)
         link = LinkBudget(frequency=F_28)
-        assert (link.tx_power_dbm, link.noise_floor_dbm) == (30.0, -100.0)
+        assert (link.tx_power_dbm, link.noise_dbm) == (30.0, -100.0)
         assert link.snr_threshold_db == -5.0
 
     def test_invalid_shape(self):
@@ -52,12 +52,12 @@ class TestConfigTypes:
 
     def test_noise_above_tx_rejected(self):
         with pytest.raises(ValueError):
-            LinkBudget(frequency=F_28, tx_power_dbm=-10.0, noise_floor_dbm=0.0)
+            LinkBudget(frequency=F_28, tx_power_dbm=-10.0, noise_dbm=0.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(frequency=math.inf), dict(frequency=math.nan), dict(tx_power_dbm=math.inf),
-        dict(tx_power_dbm=math.nan), dict(noise_floor_dbm=-math.inf),
-        dict(noise_floor_dbm=math.nan), dict(snr_threshold_db=math.nan),
+        dict(tx_power_dbm=math.nan), dict(noise_dbm=-math.inf),
+        dict(noise_dbm=math.nan), dict(snr_threshold_db=math.nan),
         dict(snr_threshold_db=math.inf), dict(snr_threshold_db=-math.inf),
     ])
     def test_nonfinite_budget_rejected(self, kwargs):
@@ -114,6 +114,11 @@ class TestPLosAtDistance:
     def test_clamped(self):
         assert p_los_at_distance(2.0, 20.0, 5.0, F_28) == 1.0
 
+    @pytest.mark.parametrize("d_a,d_n,l_w", [(0.0, 20.0, 2.0), (5.0, -1.0, 2.0), (5.0, 20.0, 0.0)])
+    def test_nonpositive_length_rejected(self, d_a, d_n, l_w):
+        with pytest.raises(ValueError, match="must be positive"):
+            p_los_at_distance(d_a, d_n, l_w, F_28)
+
 
 class TestRegularizedGamma:
     def test_against_mpmath_grid(self):
@@ -127,9 +132,11 @@ class TestRegularizedGamma:
                 )
 
     def test_non_convergence_raises(self):
-        # the series needs more than its 800 terms here; scipy gives 0.4996
-        with pytest.raises(ValueError, match="did not converge"):
-            reg_upper_gamma(1e5, 1e5)
+        # the series (x < m + 1) and the continued fraction (x >= m + 1) each
+        # need more than their 800 terms here; scipy gives 0.4996 at (1e5, 1e5)
+        for m, x, route in [(1e5, 1e5, "series"), (1e6, 1e6 + 2, "continued fraction")]:
+            with pytest.raises(ValueError, match=f"{route} did not converge"):
+                reg_upper_gamma(m, x)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -375,9 +375,19 @@ class TestCli:
         assert "unknown key 'windoww_m'" in capsys.readouterr().err
 
     def test_invariant_violation_exit_2(self, tmp_path, capsys):
-        cfg = self.write(tmp_path, "window_m=25\nroom_m=20\n")
-        assert main(["sweep", "--config", cfg]) == 2
-        assert "window exceeds room" in capsys.readouterr().err
+        # The fixed scene is checked at parse time, whatever the outputs,
+        # unless room_m or window_m is swept.
+        for text, message in [
+            ("window_m=25\nroom_m=20\n", "window exceeds room"),
+            ("sweep=bs_distance_m\nstart=2\nstop=4\nstep=1\nwindow_m=30\noutputs=p_cov\n",
+             "window exceeds room"),
+            ("sweep=bs_distance_m\nstart=2\nstop=4\nstep=1\nwindow_m=-1\noutputs=p_cov\n",
+             "window_width must be positive and finite"),
+            ("sweep=theta_deg\nstart=0\nstop=10\nstep=5\nwindow_m=-1\noutputs=p_los_closed\n",
+             "window_width must be positive and finite"),
+        ]:
+            assert main(["sweep", "--config", self.write(tmp_path, text)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_sweep_no_output_reads_exit_2(self, tmp_path, capsys):
         # p_cov is evaluated at zero aspect angle and ignores theta_deg
@@ -582,3 +592,13 @@ class TestCli:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("# o2i-los")
+
+    def test_readme_library_example_runs(self):
+        library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+        code = library.split("```python\n", 1)[1].split("```", 1)[0]
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.splitlines()) == 2
