@@ -2,27 +2,17 @@
 
 clearances is the one LoS predicate: it splits the base-station-to-receiver
 path at the wall plane and returns the verdict with the crossing point, d1,
-d2, the Fresnel radius and both signed edge clearances; p_los_grids applies
-it to the receiver grids of a batch of scenes.  p_los_closed evaluates the
-closed-form wedge-area approximation, p_los_optical its frequency-independent
-high-frequency limit, and p_los_grid is the exact deterministic reference the
-closed form is judged against.
+d2, the Fresnel radius and both signed edge clearances.  p_los_closed is the
+closed-form wedge-area approximation, p_los_optical its high-frequency
+limit, and p_los_grid the exact reference the closed form is judged against.
 
-Why one LoS interval per grid column suffices: at fixed receiver depth x
-the wall crossing u is an increasing affine function of y, and a receiver
-is LoS when the normalised margin
-
-    half_window - |u| - LOS_CLEARANCE_RATIO * r_d / cos_norm
-
-is >= 0.  With path slope s = (u - bs_y) / standoff the clearance term
-equals K * (1 + s^2)^(3/4), K fixed per column, which is convex in u; the
-margin is therefore concave in u and in y, and its >= 0 set is one
-interval.  p_los_grids predicts the two ends of that interval per column
-with a few Newton steps on the margin and checks each prediction with the
-exact predicate, so a chunk of grid columns, from several scenes, costs two
-vectorised predicate calls; a column whose prediction fails the check is
-bisected with O(log n) evaluations, and a column whose best margin lies
-within 1e-9 of the room side of zero is counted cell by cell.
+A receiver is LoS when the margin h - |u| - LOS_CLEARANCE_RATIO r_d /
+cos_norm is >= 0, for half window h and wall crossing u.  Along a grid
+column u is affine in y and the clearance term has the smooth form
+K (1 + s^2)^(3/4) of the path slope s, convex in y, so the margin is concave
+and a column's LoS cells form one run.  p_los_grids decides cells by it
+outside a rounding band about zero, and takes the predicate only for the
+columns it cannot settle.
 """
 
 from __future__ import annotations
@@ -46,15 +36,18 @@ LOS_CLEARANCE_RATIO = 0.6
 # wall at atan((L/2)/L); independent of the room size for a square room.
 CORNER_RAY_ANGLE = math.atan(0.5)
 
-# A grid column whose largest normalised margin lies within this share of
-# the room side of zero is counted densely.
+# The smooth margin decides a grid cell only outside a band about zero:
+# _NEAR_ZERO of the size of its terms, plus _CANCELLATION_ULP of the clearance
+# term times the factor by which the predicate's path lengths lose digits to
+# cancellation (their rounding measured under 1.5 ulp times that factor).
 _NEAR_ZERO = 1e-9
+_CANCELLATION_ULP = 2.0**-46
 
 # Newton steps that predict each grid column's two LoS boundaries.
 _NEWTON_STEPS = 3
 
-# Most grid columns per vectorised pass; larger chunks were no faster and hold more memory.
-_CHUNK_COLUMNS = 3072
+# Most grid columns per vectorised pass; larger chunks gained little and hold more memory.
+_CHUNK_COLUMNS = 6144
 
 
 @dataclass(frozen=True)
@@ -129,15 +122,12 @@ class Clearances(NamedTuple):
     """The LoS predicate and its terms for receivers at (x, y).
 
     los: the path crosses the wall plane inside the window and both edge
-    clearances reach LOS_CLEARANCE_RATIO * r_d.  margin: half_window - |u|
-    - LOS_CLEARANCE_RATIO * r_d / cos_norm for the wall crossing u, with the
-    sign of the predicate.  lower, upper: signed perpendicular distances of
-    the window edges from the path, negative when the wall beyond that edge
-    cuts the path.
+    clearances reach LOS_CLEARANCE_RATIO * r_d.  lower, upper: signed
+    perpendicular distances of the window edges from the path, negative
+    when the wall beyond that edge cuts the path.
     """
 
     los: np.ndarray
-    margin: np.ndarray
     crossing_y: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
@@ -167,8 +157,7 @@ def _clearances(bs_x, bs_y, half_window, x, y, wavelength_m) -> Clearances:
     lower = (y_cross + half_window) * cos_norm
     upper = (half_window - y_cross) * cos_norm
     ok = (np.abs(y_cross) < half_window) & (upper >= threshold) & (lower >= threshold)
-    margin = half_window - np.abs(y_cross) - threshold / cos_norm
-    return Clearances(ok, margin, y_cross, d1, d2, rd, lower, upper)
+    return Clearances(ok, y_cross, d1, d2, rd, lower, upper)
 
 
 def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
@@ -179,19 +168,15 @@ def p_los_grid(scene: SceneGeometry, frequency: float, grid: GridSpec) -> float:
 def p_los_grids(points, grid: GridSpec) -> list[float]:
     """p_los_grid of each (scene, wavelength_m) pair, in order.
 
-    The exact per-point predicate decides every cell, yet a chunk of points,
-    _CHUNK_COLUMNS // n of them or one when n is larger, takes a few
-    predicate calls, each vectorised across all its grid columns.  The LoS
-    cells of a column form one run (module docstring).  The seed cell of a
-    column, of largest margin next to the closed-form maximiser, is LoS or
-    the column has none.  Otherwise _NEWTON_STEPS Newton steps on the
-    margin predict the first and last LoS cell, and one predicate call on
-    them and their outer neighbours checks both; a column that fails the
-    check is bisected with the predicate on each side of the seed.  A
-    column whose largest margin lies within _NEAR_ZERO * room_side of zero
-    is counted densely instead, since there rounding may split the run.
-    The counts are exact and do not depend on the chunking, and a chunk
-    whose columns all pass the check takes two predicate calls.
+    A chunk of _CHUNK_COLUMNS // n points, or one when n is larger, is
+    vectorised across its grid columns.  The smooth margin picks each
+    column's best cell of the two next to its closed-form maximiser, and
+    _NEWTON_STEPS Newton steps predict the run's first and last cell; the
+    smooth margin at those and their outer neighbours checks them.  Its band
+    covers the rounding of both forms, and the predicate takes the rest: a
+    lit column whose check fails is bisected from its best cell, and a
+    column whose best margin lies in the band is counted cell by cell.  The
+    counts equal the predicate's on every cell.
     """
     if not all(0 < wavelength_m < math.inf for _, wavelength_m in points):
         raise ValueError("wavelength must be positive and finite")
@@ -216,9 +201,24 @@ def _grid_chunk(points, n: int) -> list[float]:
     def of(p, *values):  # at points p; floats in a one-point chunk, which numpy applies faster
         return [np.take(a, 0 if len(points) == 1 else p) for a in values]
 
-    def at(p, x, j):  # the predicate for points p at depth x and row index j
+    def at(p, x, j):  # the predicate's verdict for points p at depth x and row index j
         bx, by, hw, wl, base = of(p, bs_x, bs_y, h, lam, offset)
-        return _clearances(bx, by, hw, x, np.take(ys, base + j), wl)
+        return _clearances(bx, by, hw, x, np.take(ys, base + j), wl).los
+
+    def margin(p, x, k, j):  # the smooth margin where it decides the verdict, else 0
+        by, hw, so, rm, base = of(p, bs_y, h, standoff, room, offset)
+        rise = np.take(ys, base + j) - by  # reused in place: fresh arrays cost page faults
+        u = rise * (so / (x + so))
+        u = np.abs(np.add(u, by, out=u), out=u)  # |crossing|, rounded as _clearances rounds it
+        q = np.square(np.divide(rise, x + so, out=rise), out=rise)
+        q += 1.0
+        clear = np.sqrt(np.sqrt(q) * q, out=q)
+        clear *= k  # K (1 + s^2)^(3/4)
+        g = hw - u - clear
+        loss = (rm / 2.0 + np.abs(by)) * (1.0 / x + 1.0 / so)  # the cancellation factor
+        band = np.multiply(clear, _NEAR_ZERO + _CANCELLATION_ULP * loss, out=clear)
+        band += _NEAR_ZERO * (u + hw)
+        return np.where(np.abs(g) > band, g, 0.0)
 
     # Path slope s maximising the margin: the window-centre slope tan(theta)
     # unless the Fresnel term's slope there exceeds the unit slope of |u|,
@@ -231,20 +231,16 @@ def _grid_chunk(points, n: int) -> list[float]:
     slope = np.clip(tan, -s_max, s_max)
     row = np.floor((bs_y + slope * (xs + standoff) + room / 2.0) / step - 0.5)
     pair = np.clip(np.stack([row, row + 1.0]), 0, n - 1).astype(np.intp)
-    ok, margin = at(np.arange(len(points))[:, None], xs, pair)[:2]
-    upper = margin[1] > margin[0]
-    best = np.where(upper, pair[1], pair[0]).ravel()
-    ok = np.where(upper, ok[1], ok[0]).ravel()
-    near = (np.abs(np.maximum(margin[0], margin[1])) <= _NEAR_ZERO * room).ravel()
+    seed = margin(np.arange(len(points))[:, None], xs, k, pair)
+    best = np.where(seed[1] > seed[0], pair[1], pair[0]).ravel()
+    seed = np.maximum(seed[0], seed[1]).ravel()
 
     # Predict the column's two boundaries: Newton steps on the margin
-    # g(u) = h - sigma u - K (1 + s^2)^(3/4), s = (u - bs_y) / standoff, for
-    # sigma = -1 (first cell) and +1 (last cell), from u = sigma h.  There g
-    # < 0 outside the run, and g is concave, so the iterates approach the
-    # root from outside without crossing it.  The check below judges the
-    # prediction, so its overflow in extreme scenes is silenced, and
-    # fmin/fmax map a non-finite one into range.
-    cols = np.flatnonzero(ok & ~near)
+    # g(u) = h - sigma u - K (1 + s^2)^(3/4), s = (u - bs_y) / standoff, for sigma = -1
+    # (first cell) and +1 (last cell), from u = sigma h.  g < 0 outside the run and is
+    # concave, so the iterates approach the root from outside.  The check judges the
+    # result, so overflow is silenced, and fmin/fmax map a non-finite one into range.
+    cols = np.flatnonzero(seed > 0)
     p, x, best, k = cols // n, xs.ravel()[cols], best[cols], k.ravel()[cols]
     hw, by, so, rm, st = of(p, h, bs_y, standoff, room, step)  # per column
     sigma = np.array([[-1.0], [1.0]])
@@ -253,36 +249,38 @@ def _grid_chunk(points, n: int) -> list[float]:
         for _ in range(_NEWTON_STEPS):
             s = (u - by) / so
             q = 1.0 + s * s
-            u = u + (hw - sigma * u - k * q**0.75) / (sigma + 1.5 * k * s / (so * q**0.25))
+            r = np.sqrt(np.sqrt(q))  # q^(1/4), cheaper than a power
+            u = u + (hw - sigma * u - k * q / r) / (sigma + 1.5 * k * s / (so * r))
         pos = (by + (u - by) / so * (x + so) + rm / 2.0) / st - 0.5
     first = np.fmin(np.fmax(np.ceil(pos[0]), 0), best).astype(np.intp)
     last = np.fmax(np.fmin(np.floor(pos[1]), n - 1), best).astype(np.intp)
 
-    # Check each prediction with the predicate: first and last are LoS, and
-    # their outer neighbours are not or lie outside the room.
-    hit = at(p, x, np.clip(np.stack([first - 1, first, last, last + 1]), 0, n - 1)).los
-    miss = ~(hit[1] & hit[2] & ((first == 0) | ~hit[0]) & ((last == n - 1) | ~hit[3]))
+    # Check each prediction by the smooth margin: first and last are LoS,
+    # and their outer neighbours are not or lie outside the room.
+    g = margin(p, x, k, np.clip(np.stack([first - 1, first, last, last + 1]), 0, n - 1))
+    miss = ~((g[1] > 0) & (g[2] > 0) & ((first == 0) | (g[0] < 0)) & ((last == n - 1) | (g[3] < 0)))
     checked = np.bincount(p[~miss], (last - first + 1)[~miss], len(points))
 
-    # A column that fails the check is bisected.  The predicate is false,
-    # then true up to best, then false again.
+    # A column that fails the check is bisected with the predicate, which
+    # is false, then true up to best, then false again.
     p, x = p[miss], x[miss]
     first, first_end = np.zeros_like(p), best[miss]
     last, last_end = best[miss], np.full_like(p, n - 1)
     while (first < first_end).any() or (last < last_end).any():
         mid_first = (first + first_end) // 2
         mid_last = (last + last_end + 1) // 2
-        hit = at(p, x, np.stack([mid_first, mid_last])).los
+        hit = at(p, x, np.stack([mid_first, mid_last]))
         first_end = np.where(hit[0], mid_first, first_end)
         first = np.where(hit[0], first, mid_first + 1)
         last = np.where(hit[1], mid_last, last)
         last_end = np.where(hit[1], last_end, mid_last - 1)
     count = checked + np.bincount(p, last - first + 1, len(points))
 
-    dense = np.flatnonzero(near)
-    if dense.size:
-        hit = at(dense[:, None] // n, xs.ravel()[dense][:, None], np.arange(n)).los
-        count = count + np.bincount(dense // n, np.count_nonzero(hit, axis=1), len(points))
+    # A column whose best margin lies in the band is counted cell by cell, 2^20 cells a pass.
+    dense, block = np.flatnonzero(seed == 0), max(1, 2**20 // n)
+    for cols in (dense[i:i + block] for i in range(0, dense.size, block)):
+        hit = at(cols[:, None] // n, xs.ravel()[cols][:, None], np.arange(n))
+        count = count + np.bincount(cols // n, np.count_nonzero(hit, axis=1), len(points))
     return (count / (n * n)).tolist()
 
 

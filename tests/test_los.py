@@ -34,6 +34,30 @@ def scene(room=20.0, window=2.0, dist=5.0, angle=0.0):
                          bs_distance=dist, bs_angle=angle)
 
 
+def boundary_frequency(sc, n, column, row_share):
+    """Frequency at which one cell of the n x n grid has zero margin.
+
+    The cell lies in the given column, at row_share of the span of rows whose
+    wall crossing falls inside the window; the margin is the predicate's, in
+    its own floating-point form.  None when the column has no such row.
+    """
+    room, h = sc.room_side, sc.window_width / 2.0
+    step, (bs_x, bs_y) = room / n, bs_position(sc)
+    x = (column + 0.5) * step
+    t = (0.0 - bs_x) / (x - bs_x)
+    rows = [(bs_y + (edge - bs_y) / t + room / 2.0) / step - 0.5 for edge in (-h, h)]
+    lo, hi = max(0, math.ceil(rows[0])), min(n - 1, math.floor(rows[1]))
+    if lo > hi:
+        return None
+    y = -room / 2.0 + (lo + min(int(row_share * (hi - lo + 1)), hi - lo) + 0.5) * step
+    u = bs_y + (y - bs_y) * t
+    d1, d2 = math.hypot(0.0 - bs_x, u - bs_y), math.hypot(x, y - u)
+    cos_norm = (x - bs_x) / math.hypot(x - bs_x, y - bs_y)
+    r_d = (h - abs(u)) * cos_norm / LOS_CLEARANCE_RATIO
+    lam = r_d * r_d * (d1 + d2) / (d1 * d2)
+    return SPEED_OF_LIGHT / lam if abs(u) < h and 0.0 < lam < math.inf else None
+
+
 def closed_form_reference(theta, d_a, l_r, l_w, frequency):
     """The two-branch wedge formula written out directly."""
     lam = SPEED_OF_LIGHT / frequency
@@ -232,6 +256,63 @@ class TestPLosGrid:
         count = dense_los_count(room, window, dist, math.radians(deg), frequency, n)
         assert p_los_grid(sc, frequency, GridSpec(n)) == count / n**2
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(10, 200),
+        deg=st.floats(-89.99, 89.99),
+        log_f=st.floats(6.0, 16.0),
+        log_room=st.floats(-3.0, 5.0),
+        log_window_share=st.floats(-6.0, 0.0),
+        log_dist=st.floats(-3.0, 6.0),
+        retune=st.one_of(
+            st.none(),
+            st.floats(0.2, 1.0),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        ),
+    )
+    def test_count_equals_dense_reference_wide_ranges(
+        self, n, deg, log_f, log_room, log_window_share, log_dist, retune
+    ):
+        # Millimetre to 100 km rooms, standoffs of 1 mm to 1000 km and grazing
+        # aspects, where the predicate's path lengths lose the most digits.
+        # retune moves the frequency below the critical one, or onto the
+        # boundary of one cell, at shares of the columns and window rows.
+        room, dist, theta = 10.0**log_room, 10.0**log_dist, math.radians(deg)
+        window = room * 10.0**log_window_share
+        sc = scene(room=room, window=window, dist=dist, angle=theta)
+        frequency = 10.0**log_f
+        if isinstance(retune, float):
+            frequency = retune * critical_frequency(sc)
+        elif retune is not None:
+            column = min(int(retune[0] * n), n - 1)
+            frequency = boundary_frequency(sc, n, column, retune[1]) or frequency
+        count = dense_los_count(room, window, dist, theta, frequency, n)
+        assert p_los_grid(sc, frequency, GridSpec(n)) == count / n**2
+
+    def test_count_exact_at_tuned_boundary_cells(self):
+        # One cell's margin is zero, then a few ulp either side: the smooth
+        # margin must leave such cells to the predicate.  Half the scenes span
+        # the wide ranges; half are 1-100 mm rooms seen from 10-1000 km, tuned
+        # next to the wall, where the predicate's path lengths lose the most
+        # digits to cancellation.
+        rng = np.random.default_rng(15)
+        scales = [1.0 + sign * d for d in (0.0, 1e-16, 2e-16, 1e-15) for sign in (1, -1)]
+        # (log10 of room, window share and standoff: low, high), share of columns
+        wide = ((-3.0, -6.0, -3.0), (5.0, 0.0, 6.0), 1.0)
+        deep = ((-3.0, -2.0, 4.0), (-1.0, 0.0, 6.0), 0.02)
+        for low, high, column_share in [wide] * 30 + [deep] * 30:
+            frequency = None
+            while frequency is None:
+                room, share, dist = 10.0 ** rng.uniform(low, high)
+                sc = scene(room=room, window=room * share, dist=dist,
+                           angle=math.radians(rng.uniform(-89.99, 89.99)))
+                n = int(rng.integers(10, 201))
+                column = int(rng.uniform(0.0, column_share) * n)
+                frequency = boundary_frequency(sc, n, column, rng.uniform())
+            for f in frequency * np.array(scales):
+                count = dense_los_count(room, sc.window_width, dist, sc.bs_angle, f, n)
+                assert p_los_grid(sc, f, GridSpec(n)) == count / n**2
+
     def test_near_zero_column_counted_densely(self, monkeypatch):
         # Tune the frequency so that column 50 of 101 just reaches the
         # clearance threshold at y = 0, where its margin peaks at normal
@@ -275,26 +356,28 @@ class TestPLosGrid:
         n, frequency = 300, 2e9
         got = p_los_grid(scene(angle=0.3), frequency, GridSpec(n))
         assert got == dense_los_count(20.0, 2.0, 5.0, 0.3, frequency, n) / n**2
-        # seed pair, check, then bisection steps over the columns that failed
-        assert len(calls) > 2 and calls[2] > calls[1] / 2
+        # The smooth margin seeds and checks every column without the
+        # predicate, so each call is a bisection step over the same failed
+        # columns, most of the grid.
+        assert calls and set(calls) == {calls[0]} and calls[0] > n / 2
 
-    def test_two_predicate_calls_per_grid(self, monkeypatch):
+    def test_no_predicate_calls_per_grid(self, monkeypatch):
         calls = self.spy_on_clearances(monkeypatch)
         got = p_los_grid(scene(angle=0.3), F_28, GridSpec(500))
         assert got == dense_los_count(20.0, 2.0, 5.0, 0.3, F_28, 500) / 500**2
-        assert len(calls) == 2
+        assert calls == []
 
-    def test_theta_sweep_two_predicate_calls_per_chunk(self, monkeypatch):
+    def test_theta_sweep_no_predicate_calls(self, monkeypatch):
         calls = self.spy_on_clearances(monkeypatch)
         spec = parse_config((CONFIGS / "plos_vs_theta_28ghz.cfg").read_text())
         record = run_sweep(spec)
         assert (len(record.rows), spec.oracle_n) == (161, 500)
-        assert len(calls) == 2 * math.ceil(161 / (los._CHUNK_COLUMNS // 500))
+        assert calls == []
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(10, 400),
-        chunk=st.sampled_from([1, 10, 100, 1000, 3072, 100_000]),
+        chunk=st.sampled_from([1, 10, 100, 1000, 6144, 100_000]),
         scenes=st.lists(
             st.tuples(
                 st.floats(-89.0, 89.0), st.floats(8.0, 11.0), st.floats(1.0, 100.0),
@@ -329,7 +412,7 @@ class TestPLosGrid:
         points = [(sc, wavelength(f)) for sc, f in zip(scenes, frequencies)]
         calls = self.spy_on_clearances(monkeypatch)
         assert p_los_grids(points, GridSpec(n)) == expected
-        assert calls[0] == 3 * n and calls[-1] == 1  # one pass, then one dense column
+        assert calls == [1]  # the dense column is the only one the predicate sees
         assert expected[1] == dense_los_count(20.0, 2.0, 5.0, 0.0, frequencies[1], n) / n**2
 
     def test_mirror_symmetry(self):

@@ -428,6 +428,9 @@ class TestCli:
             # windows beyond the 20 m room, rejected like every other scene output
             ("sweep=window_m\nstart=18\nstop=24\nstep=2\noutputs=critical_frequency_hz\n",
              "window_m=22.0: window exceeds room"),
+            # p_cov reads no room_m, yet its window must fit the room too
+            ("sweep=window_m\nstart=18\nstop=24\nstep=2\noutputs=p_cov\n",
+             "window_m=22.0: window exceeds room"),
             # d**exponent overflows in mean_snr
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_cov\n",
              "bs_distance_m=1e+306"),
