@@ -92,7 +92,11 @@ def p_los_closed(scene: SceneGeometry, frequency: float) -> float:
     phi = aperture / (2.0 * scene.bs_distance)
     if phi <= 0.0:
         return 0.0
-    return min(phi * d2 * (d2 + 2.0 * d1) / scene.room_side**2, 1.0)
+    try:
+        area = scene.room_side**2
+    except OverflowError:
+        raise ValueError("room area overflows a float") from None
+    return min(phi * d2 * (d2 + 2.0 * d1) / area, 1.0)
 
 
 def p_los_optical(scene: SceneGeometry) -> float:
@@ -176,96 +180,191 @@ def p_los_grids(points, grid: GridSpec) -> list[float]:
     covers the rounding of both forms, and the predicate takes the rest: a
     lit column whose check fails is bisected from its best cell, and a
     column whose best margin lies in the band is counted cell by cell.  The
-    counts equal the predicate's on every cell.
+    counts equal the predicate's on every cell.  The chunks share one
+    _Workspace, made for this call alone.
     """
     if not all(0 < wavelength_m < math.inf for _, wavelength_m in points):
         raise ValueError("wavelength must be positive and finite")
     size = max(1, _CHUNK_COLUMNS // grid.n)
-    return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], grid.n)]
+    ws = _Workspace(grid.n, min(size, len(points)) * grid.n)
+    return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], ws)]
 
 
-def _grid_chunk(points, n: int) -> list[float]:
+class _Workspace:
+    """Scratch arrays that the chunks of one p_los_grids call reuse.
+
+    ws(name, shape) views the leading elements of the flat array kept under
+    name, which grows only when a request outgrows it, to whole multiples of
+    the largest chunk; so later chunks allocate no column-sized array, whose
+    pages the heap would trim and fault in again.  Arrays in use at the same
+    time need different names.
+    """
+
+    def __init__(self, n: int, columns: int):
+        import numpy as np
+
+        self.n = n
+        self.centres = np.arange(n) + 0.5  # cell centres, in cell sides from the wall
+        self._empty, self._columns, self._arrays = np.empty, max(1, columns), {}
+
+    def __call__(self, name: str, shape: tuple, dtype=float):
+        size = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            array = self._arrays[name] = self._empty(-(-size // self._columns) * self._columns, dtype)
+        return array[:size].reshape(shape)
+
+
+def _grid_chunk(points, ws: _Workspace) -> list[float]:
     import numpy as np
 
-    # Per-point values as (P, 1) columns against the (P, n) grid; np.take reads them
-    # flat, where grid column c is point c // n's.
+    # Per-point values as (P, 1) columns against the (P, n) grid; np.take reads
+    # both flat, where grid column c is point c // n's.  Each column-sized array
+    # is a workspace view written in place, in the order of the expression its
+    # comment gives, so every value is rounded as that expression rounds it.
+    n, shape = ws.n, (len(points), ws.n)
     bs_x, bs_y, h, lam, room, tan = np.array([
         (*bs_position(sc), sc.window_width / 2.0, wavelength_m, sc.room_side, math.tan(sc.bs_angle))
         for sc, wavelength_m in points
-    ]).T[:, :, None]
-    step, standoff = room / n, 0.0 - bs_x
-    xs = (np.arange(n) + 0.5) * step
-    ys = -room / 2.0 + (np.arange(n) + 0.5) * step
+    ]).T.copy()[:, :, None]
+    step, standoff, half_room = room / n, 0.0 - bs_x, room / 2.0
     offset = np.arange(len(points))[:, None] * n  # flat index of each point's row 0
+    xs = np.multiply(ws.centres, step, out=ws("xs", shape))
+    ys = np.subtract(xs, half_room, out=ws("ys", shape))  # -room / 2 + xs
+    x_so = np.add(xs, standoff, out=ws("x_so", shape))  # xs + standoff
+    ratio = np.divide(standoff, x_so, out=ws("ratio", shape))
+    # The margin's band per unit of its clearance term: _NEAR_ZERO + _CANCELLATION_ULP
+    # * (room / 2 + |bs_y|) * (1 / xs + 1 / standoff), the cancellation factor.
+    band_rate = np.divide(1.0, xs, out=ws("band_rate", shape))
+    band_rate += 1.0 / standoff
+    band_rate *= half_room + np.abs(bs_y)
+    band_rate *= _CANCELLATION_ULP
+    band_rate += _NEAR_ZERO
 
-    def of(p, *values):  # at points p; floats in a one-point chunk, which numpy applies faster
-        return [np.take(a, 0 if len(points) == 1 else p) for a in values]
+    def gather(index, **arrays):  # each array's values at flat index, into the workspace under its name
+        return [np.take(a, index, out=ws(name, index.shape, a.dtype), mode="clip") for name, a in arrays.items()]
 
     def at(p, x, j):  # the predicate's verdict for points p at depth x and row index j
-        bx, by, hw, wl, base = of(p, bs_x, bs_y, h, lam, offset)
+        bx, by, hw, wl, base = (np.take(a, 0 if len(points) == 1 else p) for a in (bs_x, bs_y, h, lam, offset))
         return _clearances(bx, by, hw, x, np.take(ys, base + j), wl).los
 
-    def margin(p, x, k, j):  # the smooth margin where it decides the verdict, else 0
-        by, hw, so, rm, base = of(p, bs_y, h, standoff, room, offset)
-        rise = np.take(ys, base + j) - by  # reused in place: fresh arrays cost page faults
-        u = rise * (so / (x + so))
+    def margin(j, by, hw, base, x_so, ratio, band_rate, k):  # the smooth margin where it decides the verdict, else 0
+        index = np.add(base, j, out=ws("m_index", j.shape, np.intp))
+        rise = np.take(ys, index, out=ws("m_rise", j.shape), mode="clip")
+        rise -= by
+        u = np.multiply(rise, ratio, out=ws("m_u", j.shape))  # rise * (standoff / (x + standoff))
         u = np.abs(np.add(u, by, out=u), out=u)  # |crossing|, rounded as _clearances rounds it
-        q = np.square(np.divide(rise, x + so, out=rise), out=rise)
+        q = np.square(np.divide(rise, x_so, out=rise), out=rise)
         q += 1.0
-        clear = np.sqrt(np.sqrt(q) * q, out=q)
+        g = np.sqrt(q, out=ws("margin", j.shape))
+        clear = np.sqrt(np.multiply(g, q, out=q), out=q)  # sqrt(sqrt(q) * q)
         clear *= k  # K (1 + s^2)^(3/4)
-        g = hw - u - clear
-        loss = (rm / 2.0 + np.abs(by)) * (1.0 / x + 1.0 / so)  # the cancellation factor
-        band = np.multiply(clear, _NEAR_ZERO + _CANCELLATION_ULP * loss, out=clear)
-        band += _NEAR_ZERO * (u + hw)
-        return np.where(np.abs(g) > band, g, 0.0)
+        g = np.subtract(hw, u, out=g)
+        g -= clear
+        band = np.multiply(clear, band_rate, out=clear)
+        band += np.multiply(np.add(u, hw, out=u), _NEAR_ZERO, out=u)  # _NEAR_ZERO * (u + hw)
+        decided = np.greater(np.abs(g, out=u), band, out=ws("m_decided", j.shape, bool))
+        np.copyto(g, 0.0, where=np.logical_not(decided, out=decided))
+        return g
 
     # Path slope s maximising the margin: the window-centre slope tan(theta)
     # unless the Fresnel term's slope there exceeds the unit slope of |u|,
     # in which case s = +-s_max solves 3k/(2 standoff) s (1+s^2)^(-1/4) = 1.
     # An overflow there gives s_max = inf, the no-clamp limit, so it is silenced.
-    k = LOS_CLEARANCE_RATIO * np.sqrt(lam * standoff * xs / (xs + standoff))
+    k = np.multiply(lam * standoff, xs, out=ws("k", shape))
+    k /= x_so
+    k = np.multiply(np.sqrt(k, out=k), LOS_CLEARANCE_RATIO, out=k)  # 0.6 sqrt(lam standoff xs / (xs + standoff))
     with np.errstate(over="ignore"):
-        c2 = (2.0 * standoff / (3.0 * k)) ** 2
-        s_max = np.sqrt(c2 * (c2 + np.sqrt(c2 * c2 + 4.0)) / 2.0)
-    slope = np.clip(tan, -s_max, s_max)
-    row = np.floor((bs_y + slope * (xs + standoff) + room / 2.0) / step - 0.5)
-    pair = np.clip(np.stack([row, row + 1.0]), 0, n - 1).astype(np.intp)
-    seed = margin(np.arange(len(points))[:, None], xs, k, pair)
-    best = np.where(seed[1] > seed[0], pair[1], pair[0]).ravel()
-    seed = np.maximum(seed[0], seed[1]).ravel()
+        c2 = np.multiply(k, 3.0, out=ws("c2", shape))
+        c2 = np.square(np.divide(2.0 * standoff, c2, out=c2), out=c2)  # (2 standoff / (3 k))^2
+        s_max = np.multiply(c2, c2, out=ws("s_max", shape))
+        s_max += 4.0
+        s_max = np.add(np.sqrt(s_max, out=s_max), c2, out=s_max)
+        s_max *= c2
+        s_max /= 2.0
+        s_max = np.sqrt(s_max, out=s_max)  # sqrt(c2 (c2 + sqrt(c2^2 + 4)) / 2)
+    row = np.clip(tan, np.negative(s_max, out=c2), s_max, out=c2)  # the slope
+    row *= x_so
+    row += bs_y
+    row += half_room
+    row /= step
+    row -= 0.5
+    row = np.floor(row, out=row)  # floor((bs_y + slope (xs + standoff) + room / 2) / step - 0.5)
+    # The rows either side of the maximiser, as cell indices and as floats.
+    below, above = np.clip(row, 0, n - 1, out=row), np.clip(np.add(row, 1.0, out=s_max), 0, n - 1, out=s_max)
+    pair = ws("pair", (2, *shape), np.intp)
+    pair[0], pair[1] = below, above
+    seed = margin(pair, bs_y, h, offset, x_so, ratio, band_rate, k)
+    nearer = np.greater(seed[1], seed[0], out=ws("mask", shape, bool))
+    np.copyto(below, above, where=nearer)
+    best = below.ravel()  # the best cell's row, a float
+    seed = np.maximum(seed[0], seed[1], out=ws("seed", shape)).ravel()
 
     # Predict the column's two boundaries: Newton steps on the margin
     # g(u) = h - sigma u - K (1 + s^2)^(3/4), s = (u - bs_y) / standoff, for sigma = -1
     # (first cell) and +1 (last cell), from u = sigma h.  g < 0 outside the run and is
     # concave, so the iterates approach the root from outside.  The check judges the
     # result, so overflow is silenced, and fmin/fmax map a non-finite one into range.
-    cols = np.flatnonzero(seed > 0)
-    p, x, best, k = cols // n, xs.ravel()[cols], best[cols], k.ravel()[cols]
-    hw, by, so, rm, st = of(p, h, bs_y, standoff, room, step)  # per column
+    cols = np.flatnonzero(np.greater(seed, 0, out=nearer.ravel()))
+    p = np.floor_divide(cols, n, out=ws("p", cols.shape, np.intp))
+    x_so, ratio, band_rate, k, best = gather(
+        cols, c_x_so=x_so, c_ratio=ratio, c_band_rate=band_rate, c_k=k, c_best=best
+    )
+    if len(points) == 1:  # floats, which numpy applies faster
+        hw, by, so, half, st, base = (np.take(a, 0) for a in (h, bs_y, standoff, half_room, step, offset))
+    else:
+        hw, by, so, half, st, base = gather(p, hw=h, by=bs_y, so=standoff, half=half_room, st=step, base=offset)
     sigma = np.array([[-1.0], [1.0]])
-    u = sigma * hw
+    u, s, q, r, step_u = (ws(name, (2, cols.size)) for name in ("n_u", "n_s", "n_q", "n_r", "n_step"))
+    u = np.multiply(sigma, hw, out=u)
+    k_3_2 = np.multiply(1.5, k, out=ws("n_k", cols.shape))
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            s = (u - by) / so
-            q = 1.0 + s * s
-            r = np.sqrt(np.sqrt(q))  # q^(1/4), cheaper than a power
-            u = u + (hw - sigma * u - k * q / r) / (sigma + 1.5 * k * s / (so * r))
-        pos = (by + (u - by) / so * (x + so) + rm / 2.0) / st - 0.5
-    first = np.fmin(np.fmax(np.ceil(pos[0]), 0), best).astype(np.intp)
-    last = np.fmax(np.fmin(np.floor(pos[1]), n - 1), best).astype(np.intp)
+            s = np.divide(np.subtract(u, by, out=s), so, out=s)  # (u - by) / so
+            q = np.add(np.multiply(s, s, out=q), 1.0, out=q)  # 1 + s^2
+            r = np.sqrt(np.sqrt(q, out=r), out=r)  # q^(1/4), cheaper than a power
+            # u + (hw - sigma u - k q / r) / (sigma + 1.5 k s / (so r))
+            step_u = np.subtract(hw, np.multiply(sigma, u, out=step_u), out=step_u)
+            step_u -= np.divide(np.multiply(k, q, out=q), r, out=q)
+            s = np.divide(np.multiply(k_3_2, s, out=s), np.multiply(so, r, out=r), out=s)
+            s += sigma
+            step_u /= s
+            u += step_u
+        pos = np.divide(np.subtract(u, by, out=s), so, out=s)
+        pos *= x_so
+        pos += by
+        pos += half
+        pos /= st
+        pos -= 0.5  # (by + (u - by) / so (x + so) + room / 2) / step - 0.5
+    first_f = np.fmin(np.fmax(np.ceil(pos[0], out=pos[0]), 0, out=pos[0]), best, out=pos[0])
+    last_f = np.fmax(np.fmin(np.floor(pos[1], out=pos[1]), n - 1, out=pos[1]), best, out=pos[1])
+    width = np.subtract(last_f, first_f, out=ws("width", cols.shape))
+    width += 1.0
+    ends = ws("ends", (2, cols.size), np.intp)
+    ends[...] = pos
+    first, last = ends
 
     # Check each prediction by the smooth margin: first and last are LoS,
     # and their outer neighbours are not or lie outside the room.
-    g = margin(p, x, k, np.clip(np.stack([first - 1, first, last, last + 1]), 0, n - 1))
-    miss = ~((g[1] > 0) & (g[2] > 0) & ((first == 0) | (g[0] < 0)) & ((last == n - 1) | (g[3] < 0)))
-    checked = np.bincount(p[~miss], (last - first + 1)[~miss], len(points))
+    j = ws("check_j", (4, cols.size), np.intp)
+    np.subtract(first, 1, out=j[0])
+    j[1], j[2] = first, last
+    np.add(last, 1, out=j[3])
+    g = margin(np.clip(j, 0, n - 1, out=j), by, hw, base, x_so, ratio, band_rate, k)
+    ok, term, edge = ws("check", (3, cols.size), bool)
+    ok = np.logical_or(np.equal(first, 0, out=ok), np.less(g[0], 0, out=term), out=ok)
+    ok &= np.logical_or(np.equal(last, n - 1, out=edge), np.less(g[3], 0, out=term), out=term)
+    ok &= np.greater(g[1], 0, out=term)
+    ok &= np.greater(g[2], 0, out=term)
+    miss = np.logical_not(ok, out=term)
+    np.copyto(width, 0.0, where=miss)
+    checked = np.bincount(p, width, len(points))
 
     # A column that fails the check is bisected with the predicate, which
     # is false, then true up to best, then false again.
-    p, x = p[miss], x[miss]
-    first, first_end = np.zeros_like(p), best[miss]
-    last, last_end = best[miss], np.full_like(p, n - 1)
+    p, x = p[miss], np.take(xs, cols[miss])
+    first, first_end = np.zeros_like(p), best[miss].astype(np.intp)
+    last, last_end = best[miss].astype(np.intp), np.full_like(p, n - 1)
     while (first < first_end).any() or (last < last_end).any():
         mid_first = (first + first_end) // 2
         mid_last = (last + last_end + 1) // 2
@@ -277,9 +376,9 @@ def _grid_chunk(points, n: int) -> list[float]:
     count = checked + np.bincount(p, last - first + 1, len(points))
 
     # A column whose best margin lies in the band is counted cell by cell, 2^20 cells a pass.
-    dense, block = np.flatnonzero(seed == 0), max(1, 2**20 // n)
+    dense, block = np.flatnonzero(np.equal(seed, 0, out=nearer.ravel())), max(1, 2**20 // n)
     for cols in (dense[i:i + block] for i in range(0, dense.size, block)):
-        hit = at(cols[:, None] // n, xs.ravel()[cols][:, None], np.arange(n))
+        hit = at(cols[:, None] // n, np.take(xs, cols)[:, None], np.arange(n))
         count = count + np.bincount(cols // n, np.count_nonzero(hit, axis=1), len(points))
     return (count / (n * n)).tolist()
 

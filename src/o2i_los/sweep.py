@@ -56,7 +56,8 @@ _SCENE_KEYS = ("room_m", "window_m", "bs_distance_m", "theta_deg")
 # rejected before anything is allocated.
 MAX_POINTS = 100_000
 MAX_ORACLE_N = 10_000
-# Largest grid work, points x oracle_n columns, at 0.2-0.6 us a column: 2-6 s.
+# Largest grid work, points x oracle_n columns, at 0.2-0.3 us a column on a 2-vCPU
+# Xeon (numpy 2.4): 2-3 s.
 MAX_GRID_COLUMNS = 10_000_000
 
 

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -367,12 +370,42 @@ class TestPLosGrid:
         assert got == dense_los_count(20.0, 2.0, 5.0, 0.3, F_28, 500) / 500**2
         assert calls == []
 
-    def test_theta_sweep_no_predicate_calls(self, monkeypatch):
+    @pytest.mark.parametrize("config, rows", [
+        pytest.param(config, rows, id=config) for config, rows in
+        (("plos_vs_frequency", 100), ("plos_vs_theta_1ghz", 161), ("plos_vs_theta_28ghz", 161))
+    ])
+    def test_figure_sweep_no_predicate_calls(self, monkeypatch, config, rows):
+        # Counts alone cannot show a column that fell back to the predicate,
+        # as when two workspace arrays in use at once share a buffer.
         calls = self.spy_on_clearances(monkeypatch)
-        spec = parse_config((CONFIGS / "plos_vs_theta_28ghz.cfg").read_text())
+        spec = parse_config((CONFIGS / f"{config}.cfg").read_text())
         record = run_sweep(spec)
-        assert (len(record.rows), spec.oracle_n) == (161, 500)
+        assert (len(record.rows), spec.oracle_n) == (rows, 500)
         assert calls == []
+
+    def test_concurrent_calls_match_serial(self):
+        # Each call owns its workspace, so calls in two threads, which numpy
+        # lets run at once, see none of each other's arrays.
+        grid = GridSpec(100)  # 61 points a chunk
+        batches = [
+            [(scene(angle=math.radians(deg)), wavelength(frequency)) for deg in np.linspace(-70, 70, size)]
+            for frequency, size in ((1e9, 150), (F_28, 130))
+        ]
+        serial = [p_los_grids(batch, grid) for batch in batches]
+        start = threading.Barrier(2, timeout=60)
+
+        def repeat(batch):
+            start.wait()
+            return [p_los_grids(batch, grid) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                runs = list(pool.map(repeat, batches, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [[expected] * 20 for expected in serial]
 
     @settings(max_examples=60, deadline=None)
     @given(

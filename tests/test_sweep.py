@@ -441,6 +441,9 @@ class TestCli:
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\n"
              "outputs=p_los_closed\n",
              "bs_distance_m=3.0999999999999997e+307: Fresnel radius is not finite"),
+            # the room area L^2 overflows in p_los_closed
+            ("sweep=room_m\nstart=1e160\nstop=2e160\nstep=1e160\n"
+             "outputs=p_los_closed,p_los_optical\n", "room_m=1e+160: room area overflows a float"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
             assert message in capsys.readouterr().err
