@@ -94,8 +94,8 @@ def p_los_closed(scene: SceneGeometry, frequency: float) -> float:
         return 0.0
     try:
         area = scene.room_side**2
-    except OverflowError:
-        raise ValueError("room area overflows a float") from None
+    except OverflowError:  # L^2 overflows, the share does not: divide each length by L
+        return min(phi * (d2 / scene.room_side) * ((d2 + 2.0 * d1) / scene.room_side), 1.0)
     return min(phi * d2 * (d2 + 2.0 * d1) / area, 1.0)
 
 
@@ -180,8 +180,9 @@ def p_los_grids(points, grid: GridSpec) -> list[float]:
     covers the rounding of both forms, and the predicate takes the rest: a
     lit column whose check fails is bisected from its best cell, and a
     column whose best margin lies in the band is counted cell by cell.  The
-    counts equal the predicate's on every cell.  The chunks share one
-    _Workspace, made for this call alone.
+    counts equal the predicate's on every cell.  A chunk's set-up is plain
+    numpy; its margin, Newton loop and check run in one _Workspace, made for
+    this call alone.
     """
     if not all(0 < wavelength_m < math.inf for _, wavelength_m in points):
         raise ValueError("wavelength must be positive and finite")
@@ -195,8 +196,9 @@ class _Workspace:
 
     ws(name, shape) views the leading elements of the flat array kept under
     name, which grows only when a request outgrows it, to whole multiples of
-    the largest chunk; so later chunks allocate no column-sized array, whose
-    pages the heap would trim and fault in again.  Arrays in use at the same
+    the largest chunk.  The margin, the Newton loop and the check run in it,
+    where a fresh array per operation has pages the heap would trim and fault
+    in again; the set-up, once a chunk, allocates.  Arrays in use at the same
     time need different names.
     """
 
@@ -219,9 +221,10 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
     import numpy as np
 
     # Per-point values as (P, 1) columns against the (P, n) grid; np.take reads
-    # both flat, where grid column c is point c // n's.  Each column-sized array
-    # is a workspace view written in place, in the order of the expression its
-    # comment gives, so every value is rounded as that expression rounds it.
+    # both flat, where grid column c is point c // n's.  The set-up and the seed's
+    # slope are plain numpy, once a chunk; the margin, the Newton loop and the
+    # check write in place into the workspace, in the order of the expression
+    # each comment gives, so every value is rounded as that expression rounds it.
     n, shape = ws.n, (len(points), ws.n)
     bs_x, bs_y, h, lam, room, tan = np.array([
         (*bs_position(sc), sc.window_width / 2.0, wavelength_m, sc.room_side, math.tan(sc.bs_angle))
@@ -229,24 +232,19 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
     ]).T.copy()[:, :, None]
     step, standoff, half_room = room / n, 0.0 - bs_x, room / 2.0
     offset = np.arange(len(points))[:, None] * n  # flat index of each point's row 0
-    xs = np.multiply(ws.centres, step, out=ws("xs", shape))
-    ys = np.subtract(xs, half_room, out=ws("ys", shape))  # -room / 2 + xs
-    x_so = np.add(xs, standoff, out=ws("x_so", shape))  # xs + standoff
-    ratio = np.divide(standoff, x_so, out=ws("ratio", shape))
-    # The margin's band per unit of its clearance term: _NEAR_ZERO + _CANCELLATION_ULP
-    # * (room / 2 + |bs_y|) * (1 / xs + 1 / standoff), the cancellation factor.
-    band_rate = np.divide(1.0, xs, out=ws("band_rate", shape))
-    band_rate += 1.0 / standoff
-    band_rate *= half_room + np.abs(bs_y)
-    band_rate *= _CANCELLATION_ULP
-    band_rate += _NEAR_ZERO
-
-    def gather(index, **arrays):  # each array's values at flat index, into the workspace under its name
-        return [np.take(a, index, out=ws(name, index.shape, a.dtype), mode="clip") for name, a in arrays.items()]
+    xs = ws.centres * step
+    ys = xs - half_room
+    x_so = xs + standoff
+    ratio = standoff / x_so
+    # The margin's band per unit of its clearance term, with the cancellation factor.
+    band_rate = (1.0 / xs + 1.0 / standoff) * (half_room + np.abs(bs_y)) * _CANCELLATION_ULP + _NEAR_ZERO
 
     def at(p, x, j):  # the predicate's verdict for points p at depth x and row index j
-        bx, by, hw, wl, base = (np.take(a, 0 if len(points) == 1 else p) for a in (bs_x, bs_y, h, lam, offset))
+        bx, by, hw, wl, base = (np.take(a, p) for a in (bs_x, bs_y, h, lam, offset))
         return _clearances(bx, by, hw, x, np.take(ys, base + j), wl).los
+
+    def row_of(s, x_so, by, half, st):  # the float row where a path of slope s crosses depth x
+        return (s * x_so + by + half) / st - 0.5
 
     def margin(j, by, hw, base, x_so, ratio, band_rate, k):  # the smooth margin where it decides the verdict, else 0
         index = np.add(base, j, out=ws("m_index", j.shape, np.intp))
@@ -271,33 +269,16 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
     # unless the Fresnel term's slope there exceeds the unit slope of |u|,
     # in which case s = +-s_max solves 3k/(2 standoff) s (1+s^2)^(-1/4) = 1.
     # An overflow there gives s_max = inf, the no-clamp limit, so it is silenced.
-    k = np.multiply(lam * standoff, xs, out=ws("k", shape))
-    k /= x_so
-    k = np.multiply(np.sqrt(k, out=k), LOS_CLEARANCE_RATIO, out=k)  # 0.6 sqrt(lam standoff xs / (xs + standoff))
+    k = np.sqrt(lam * standoff * xs / x_so) * LOS_CLEARANCE_RATIO
     with np.errstate(over="ignore"):
-        c2 = np.multiply(k, 3.0, out=ws("c2", shape))
-        c2 = np.square(np.divide(2.0 * standoff, c2, out=c2), out=c2)  # (2 standoff / (3 k))^2
-        s_max = np.multiply(c2, c2, out=ws("s_max", shape))
-        s_max += 4.0
-        s_max = np.add(np.sqrt(s_max, out=s_max), c2, out=s_max)
-        s_max *= c2
-        s_max /= 2.0
-        s_max = np.sqrt(s_max, out=s_max)  # sqrt(c2 (c2 + sqrt(c2^2 + 4)) / 2)
-    row = np.clip(tan, np.negative(s_max, out=c2), s_max, out=c2)  # the slope
-    row *= x_so
-    row += bs_y
-    row += half_room
-    row /= step
-    row -= 0.5
-    row = np.floor(row, out=row)  # floor((bs_y + slope (xs + standoff) + room / 2) / step - 0.5)
-    # The rows either side of the maximiser, as cell indices and as floats.
-    below, above = np.clip(row, 0, n - 1, out=row), np.clip(np.add(row, 1.0, out=s_max), 0, n - 1, out=s_max)
-    pair = ws("pair", (2, *shape), np.intp)
-    pair[0], pair[1] = below, above
+        c2 = np.square(2.0 * standoff / (k * 3.0))
+        s_max = np.sqrt(c2 * (np.sqrt(c2 * c2 + 4.0) + c2) / 2.0)
+    row = np.floor(row_of(np.clip(tan, -s_max, s_max), x_so, bs_y, half_room, step))
+    # The rows either side of the maximiser; the better one is the column's best cell.
+    pair = ws("rows", (2, *shape), np.intp)
+    pair[0], pair[1] = np.clip(row, 0, n - 1), np.clip(row + 1.0, 0, n - 1)
     seed = margin(pair, bs_y, h, offset, x_so, ratio, band_rate, k)
-    nearer = np.greater(seed[1], seed[0], out=ws("mask", shape, bool))
-    np.copyto(below, above, where=nearer)
-    best = below.ravel()  # the best cell's row, a float
+    best = np.where(seed[1] > seed[0], pair[1], pair[0]).ravel()
     seed = np.maximum(seed[0], seed[1], out=ws("seed", shape)).ravel()
 
     # Predict the column's two boundaries: Newton steps on the margin
@@ -305,19 +286,17 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
     # (first cell) and +1 (last cell), from u = sigma h.  g < 0 outside the run and is
     # concave, so the iterates approach the root from outside.  The check judges the
     # result, so overflow is silenced, and fmin/fmax map a non-finite one into range.
-    cols = np.flatnonzero(np.greater(seed, 0, out=nearer.ravel()))
-    p = np.floor_divide(cols, n, out=ws("p", cols.shape, np.intp))
-    x_so, ratio, band_rate, k, best = gather(
-        cols, c_x_so=x_so, c_ratio=ratio, c_band_rate=band_rate, c_k=k, c_best=best
+    cols = np.flatnonzero(seed > 0)
+    p = cols // n
+    x_so, ratio, band_rate, k, best = (np.take(a, cols) for a in (x_so, ratio, band_rate, k, best))
+    # Per column; floats in a one-point chunk, which numpy applies faster.
+    hw, by, so, half, st, base = (
+        np.take(a, 0 if len(points) == 1 else p) for a in (h, bs_y, standoff, half_room, step, offset)
     )
-    if len(points) == 1:  # floats, which numpy applies faster
-        hw, by, so, half, st, base = (np.take(a, 0) for a in (h, bs_y, standoff, half_room, step, offset))
-    else:
-        hw, by, so, half, st, base = gather(p, hw=h, by=bs_y, so=standoff, half=half_room, st=step, base=offset)
     sigma = np.array([[-1.0], [1.0]])
     u, s, q, r, step_u = (ws(name, (2, cols.size)) for name in ("n_u", "n_s", "n_q", "n_r", "n_step"))
     u = np.multiply(sigma, hw, out=u)
-    k_3_2 = np.multiply(1.5, k, out=ws("n_k", cols.shape))
+    k_3_2 = 1.5 * k
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
             s = np.divide(np.subtract(u, by, out=s), so, out=s)  # (u - by) / so
@@ -330,23 +309,15 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
             s += sigma
             step_u /= s
             u += step_u
-        pos = np.divide(np.subtract(u, by, out=s), so, out=s)
-        pos *= x_so
-        pos += by
-        pos += half
-        pos /= st
-        pos -= 0.5  # (by + (u - by) / so (x + so) + room / 2) / step - 0.5
-    first_f = np.fmin(np.fmax(np.ceil(pos[0], out=pos[0]), 0, out=pos[0]), best, out=pos[0])
-    last_f = np.fmax(np.fmin(np.floor(pos[1], out=pos[1]), n - 1, out=pos[1]), best, out=pos[1])
-    width = np.subtract(last_f, first_f, out=ws("width", cols.shape))
-    width += 1.0
+        pos = row_of((u - by) / so, x_so, by, half, st)
     ends = ws("ends", (2, cols.size), np.intp)
-    ends[...] = pos
+    ends[0] = np.fmin(np.fmax(np.ceil(pos[0]), 0), best)
+    ends[1] = np.fmax(np.fmin(np.floor(pos[1]), n - 1), best)
     first, last = ends
 
     # Check each prediction by the smooth margin: first and last are LoS,
     # and their outer neighbours are not or lie outside the room.
-    j = ws("check_j", (4, cols.size), np.intp)
+    j = ws("rows", (4, cols.size), np.intp)  # the seed's pair is no longer read
     np.subtract(first, 1, out=j[0])
     j[1], j[2] = first, last
     np.add(last, 1, out=j[3])
@@ -356,15 +327,14 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
     ok &= np.logical_or(np.equal(last, n - 1, out=edge), np.less(g[3], 0, out=term), out=term)
     ok &= np.greater(g[1], 0, out=term)
     ok &= np.greater(g[2], 0, out=term)
+    checked = np.bincount(p, np.where(ok, last - first + 1, 0), len(points))
     miss = np.logical_not(ok, out=term)
-    np.copyto(width, 0.0, where=miss)
-    checked = np.bincount(p, width, len(points))
 
     # A column that fails the check is bisected with the predicate, which
     # is false, then true up to best, then false again.
     p, x = p[miss], np.take(xs, cols[miss])
-    first, first_end = np.zeros_like(p), best[miss].astype(np.intp)
-    last, last_end = best[miss].astype(np.intp), np.full_like(p, n - 1)
+    first, first_end = np.zeros_like(p), best[miss]
+    last, last_end = best[miss], np.full_like(p, n - 1)
     while (first < first_end).any() or (last < last_end).any():
         mid_first = (first + first_end) // 2
         mid_last = (last + last_end + 1) // 2
@@ -376,7 +346,7 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
     count = checked + np.bincount(p, last - first + 1, len(points))
 
     # A column whose best margin lies in the band is counted cell by cell, 2^20 cells a pass.
-    dense, block = np.flatnonzero(np.equal(seed, 0, out=nearer.ravel())), max(1, 2**20 // n)
+    dense, block = np.flatnonzero(seed == 0), max(1, 2**20 // n)
     for cols in (dense[i:i + block] for i in range(0, dense.size, block)):
         hit = at(cols[:, None] // n, np.take(xs, cols)[:, None], np.arange(n))
         count = count + np.bincount(cols // n, np.count_nonzero(hit, axis=1), len(points))

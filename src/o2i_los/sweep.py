@@ -83,9 +83,11 @@ class SweepSpec:
             raise ConfigError("start must be less than stop")
         if self.swept in self.fixed:
             raise ConfigError(f"swept parameter '{self.swept}' must not also be fixed")
-        for name in self.outputs:
+        for i, name in enumerate(self.outputs):
             if name not in OUTPUTS:
                 raise ConfigError(f"unknown output '{name}'")
+            if name in self.outputs[:i]:
+                raise ConfigError(f"duplicate output '{name}'")
         if self.outputs and not any(self.swept in OUTPUTS[name][1] for name in self.outputs):
             raise ConfigError(f"no requested output reads the swept key '{self.swept}'")
         if not 10 <= self.oracle_n <= MAX_ORACLE_N:

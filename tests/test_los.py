@@ -104,6 +104,14 @@ class TestPLosClosed:
             assert below > 0.0
             assert below == pytest.approx(above, rel=1e-12)
 
+    @pytest.mark.parametrize("deg", [0, 20, 45])
+    def test_finite_where_room_area_overflows(self, deg):
+        # L^2 overflows above about 1.34e154 m, while the wedge's share of the room stays finite
+        angle = math.radians(deg)
+        far = p_los_closed(scene(room=1e160, angle=angle), F_28)
+        assert far > 0.0
+        assert far == pytest.approx(p_los_closed(scene(room=1e150, angle=angle), F_28), rel=1e-12)
+
     def test_side_wall_branch_against_grid(self):
         got = p_los_closed(scene(angle=math.radians(45)), F_28)
         ref = p_los_grid(scene(angle=math.radians(45)), F_28, GridSpec(600))

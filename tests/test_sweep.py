@@ -2,6 +2,7 @@ import importlib.util
 import io
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -110,8 +111,11 @@ class TestParseConfig:
                 parse_config(base + line)
 
     def test_unknown_output(self):
-        with pytest.raises(ConfigError, match="unknown output 'p_marginal'"):
-            parse_config("sweep=theta_deg\nstart=0\nstop=1\nstep=1\noutputs=p_marginal")
+        # a repeated p_los_grid would run the grid twice while the column cap counts it once
+        for outputs, match in [("p_marginal", "unknown output 'p_marginal'"),
+                               ("p_los_grid,p_los_closed,p_los_grid", "duplicate output 'p_los_grid'")]:
+            with pytest.raises(ConfigError, match=match):
+                parse_config(f"sweep=theta_deg\nstart=0\nstop=1\nstep=1\noutputs={outputs}")
 
     def test_sweep_no_output_reads_rejected(self):
         with pytest.raises(ConfigError, match="swept key 'theta_deg'"):
@@ -370,9 +374,13 @@ class TestCli:
         assert "# seed=42" in captured and "# oracle_n=123" in captured
 
     def test_config_error_exit_2(self, tmp_path, capsys):
-        cfg = self.write(tmp_path, "windoww_m=2\n")
-        assert main(["sweep", "--config", cfg]) == 2
-        assert "unknown key 'windoww_m'" in capsys.readouterr().err
+        for text, message in [
+            ("windoww_m=2\n", "unknown key 'windoww_m'"),
+            ("sweep=theta_deg\nstart=0\nstop=10\nstep=5\noutputs=p_los_grid,p_los_grid\n",
+             "duplicate output 'p_los_grid'"),
+        ]:
+            assert main(["sweep", "--config", self.write(tmp_path, text)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_invariant_violation_exit_2(self, tmp_path, capsys):
         # The fixed scene is checked at parse time, whatever the outputs,
@@ -441,12 +449,18 @@ class TestCli:
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\n"
              "outputs=p_los_closed\n",
              "bs_distance_m=3.0999999999999997e+307: Fresnel radius is not finite"),
-            # the room area L^2 overflows in p_los_closed
-            ("sweep=room_m\nstart=1e160\nstop=2e160\nstep=1e160\n"
-             "outputs=p_los_closed,p_los_optical\n", "room_m=1e+160: room area overflows a float"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
             assert message in capsys.readouterr().err
+
+    def test_overflowing_room_area_exit_0(self, tmp_path, capsys):
+        # the room area L^2 overflows in p_los_closed; its share of the room does not
+        cfg = self.write(tmp_path, "sweep=room_m\nstart=1e160\nstop=2e160\nstep=1e160\n"
+                                   "outputs=p_los_closed,p_los_optical\n")
+        assert main(["sweep", "--config", cfg]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[-2:]]
+        assert [row[0] for row in rows] == ["1e+160", "2e+160"]
+        assert all(0.0 < float(value) < 1.0 for row in rows for value in row[1:])
 
     def test_non_finite_output_exit_3(self, tmp_path, capsys, monkeypatch):
         # No output is known to return inf for a valid point since the deep
@@ -598,6 +612,18 @@ class TestCli:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("# o2i-los")
+
+    def test_readme_cli_examples_run(self, tmp_path, monkeypatch, capsys):
+        block = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("o2i-los ")]
+        assert len(commands) == 3
+        monkeypatch.chdir(ROOT)  # the examples name configs/ relative to the checkout
+        for argv in commands:
+            if "--out" in argv:
+                i = argv.index("--out") + 1
+                argv[i] = str(tmp_path / argv[i])
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
 
     def test_readme_library_example_runs(self):
         library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
