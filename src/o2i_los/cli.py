@@ -20,16 +20,17 @@ from .sweep import (
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.config).read_text()
-    except OSError as err:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
     record = run_sweep(parse_config(text))
-    if args.out is None:
-        emit_csv(record, sys.stdout)
-        return 0
     try:
-        with open(args.out, "w") as stream:
-            emit_csv(record, stream)
+        if args.out is None:
+            emit_csv(record, sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w") as stream:
+                emit_csv(record, stream)
     except OSError as err:
         print(f"error: cannot write output: {err}", file=sys.stderr)
         return 1

@@ -180,64 +180,47 @@ def p_los_grids(points, grid: GridSpec) -> list[float]:
     covers the rounding of both forms, and the predicate takes the rest: a
     lit column whose check fails is bisected from its best cell, and a
     column whose best margin lies in the band is counted cell by cell.  The
-    counts equal the predicate's on every cell.  A chunk's set-up is plain
-    numpy; its margin, Newton loop and check run in one _Workspace, made for
-    this call alone.
+    counts equal the predicate's on every cell.  The chunks of one call share
+    one scratch dict, made for this call alone: the margin, the Newton loop
+    and the check's rows write in place into its buffers, and the rest,
+    bool masks and per-column results included, is plain numpy.
     """
     if not all(0 < wavelength_m < math.inf for _, wavelength_m in points):
         raise ValueError("wavelength must be positive and finite")
-    size = max(1, _CHUNK_COLUMNS // grid.n)
-    ws = _Workspace(grid.n, min(size, len(points)) * grid.n)
-    return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], ws)]
+    size, scratch = max(1, _CHUNK_COLUMNS // grid.n), {}
+    return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], grid.n, scratch)]
 
 
-class _Workspace:
-    """Scratch arrays that the chunks of one p_los_grids call reuse.
-
-    ws(name, shape) views the leading elements of the flat array kept under
-    name, which grows only when a request outgrows it, to whole multiples of
-    the largest chunk.  The margin, the Newton loop and the check run in it,
-    where a fresh array per operation has pages the heap would trim and fault
-    in again; the set-up, once a chunk, allocates.  Arrays in use at the same
-    time need different names.
-    """
-
-    def __init__(self, n: int, columns: int):
-        import numpy as np
-
-        self.n = n
-        self.centres = np.arange(n) + 0.5  # cell centres, in cell sides from the wall
-        self._empty, self._columns, self._arrays = np.empty, max(1, columns), {}
-
-    def __call__(self, name: str, shape: tuple, dtype=float):
-        size = math.prod(shape)
-        array = self._arrays.get(name)
-        if array is None or array.size < size:
-            array = self._arrays[name] = self._empty(-(-size // self._columns) * self._columns, dtype)
-        return array[:size].reshape(shape)
-
-
-def _grid_chunk(points, ws: _Workspace) -> list[float]:
+def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     import numpy as np
 
     # Per-point values as (P, 1) columns against the (P, n) grid; np.take reads
-    # both flat, where grid column c is point c // n's.  The set-up and the seed's
-    # slope are plain numpy, once a chunk; the margin, the Newton loop and the
-    # check write in place into the workspace, in the order of the expression
-    # each comment gives, so every value is rounded as that expression rounds it.
-    n, shape = ws.n, (len(points), ws.n)
+    # both flat, where grid column c is point c // n's.  Only the margin, the
+    # Newton loop and the check's rows write in place, into the buffers of
+    # scratch, in the order of the expression each comment gives, so every value
+    # is rounded as that expression rounds it; the rest is plain numpy.
     bs_x, bs_y, h, lam, room, tan = np.array([
         (*bs_position(sc), sc.window_width / 2.0, wavelength_m, sc.room_side, math.tan(sc.bs_angle))
         for sc, wavelength_m in points
     ]).T.copy()[:, :, None]
     step, standoff, half_room = room / n, 0.0 - bs_x, room / 2.0
     offset = np.arange(len(points))[:, None] * n  # flat index of each point's row 0
-    xs = ws.centres * step
+    xs = (np.arange(n) + 0.5) * step  # cell centres
     ys = xs - half_room
     x_so = xs + standoff
     ratio = standoff / x_so
     # The margin's band per unit of its clearance term, with the cancellation factor.
     band_rate = (1.0 / xs + 1.0 / standoff) * (half_room + np.abs(bs_y)) * _CANCELLATION_ULP + _NEAR_ZERO
+
+    # A view of the leading elements of the flat buffer kept under name, made anew
+    # only when a request outgrows it.  A fresh array per operation has pages the
+    # heap would trim and fault in again; arrays live at the same time need
+    # different names.
+    def ws(name, shape, dtype=float):
+        size = math.prod(shape)
+        if name not in scratch or scratch[name].size < size:
+            scratch[name] = np.empty(size, dtype)
+        return scratch[name][:size].reshape(shape)
 
     def at(p, x, j):  # the predicate's verdict for points p at depth x and row index j
         bx, by, hw, wl, base = (np.take(a, p) for a in (bs_x, bs_y, h, lam, offset))
@@ -261,8 +244,7 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
         g -= clear
         band = np.multiply(clear, band_rate, out=clear)
         band += np.multiply(np.add(u, hw, out=u), _NEAR_ZERO, out=u)  # _NEAR_ZERO * (u + hw)
-        decided = np.greater(np.abs(g, out=u), band, out=ws("m_decided", j.shape, bool))
-        np.copyto(g, 0.0, where=np.logical_not(decided, out=decided))
+        np.copyto(g, 0.0, where=~(np.abs(g, out=u) > band))  # a NaN margin is undecided
         return g
 
     # Path slope s maximising the margin: the window-centre slope tan(theta)
@@ -275,11 +257,11 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
         s_max = np.sqrt(c2 * (np.sqrt(c2 * c2 + 4.0) + c2) / 2.0)
     row = np.floor(row_of(np.clip(tan, -s_max, s_max), x_so, bs_y, half_room, step))
     # The rows either side of the maximiser; the better one is the column's best cell.
-    pair = ws("rows", (2, *shape), np.intp)
+    pair = ws("rows", (2, len(points), n), np.intp)
     pair[0], pair[1] = np.clip(row, 0, n - 1), np.clip(row + 1.0, 0, n - 1)
     seed = margin(pair, bs_y, h, offset, x_so, ratio, band_rate, k)
     best = np.where(seed[1] > seed[0], pair[1], pair[0]).ravel()
-    seed = np.maximum(seed[0], seed[1], out=ws("seed", shape)).ravel()
+    seed = np.maximum(seed[0], seed[1]).ravel()
 
     # Predict the column's two boundaries: Newton steps on the margin
     # g(u) = h - sigma u - K (1 + s^2)^(3/4), s = (u - bs_y) / standoff, for sigma = -1
@@ -310,10 +292,8 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
             step_u /= s
             u += step_u
         pos = row_of((u - by) / so, x_so, by, half, st)
-    ends = ws("ends", (2, cols.size), np.intp)
-    ends[0] = np.fmin(np.fmax(np.ceil(pos[0]), 0), best)
-    ends[1] = np.fmax(np.fmin(np.floor(pos[1]), n - 1), best)
-    first, last = ends
+    first = np.fmin(np.fmax(np.ceil(pos[0]), 0), best).astype(np.intp)
+    last = np.fmax(np.fmin(np.floor(pos[1]), n - 1), best).astype(np.intp)
 
     # Check each prediction by the smooth margin: first and last are LoS,
     # and their outer neighbours are not or lie outside the room.
@@ -322,13 +302,9 @@ def _grid_chunk(points, ws: _Workspace) -> list[float]:
     j[1], j[2] = first, last
     np.add(last, 1, out=j[3])
     g = margin(np.clip(j, 0, n - 1, out=j), by, hw, base, x_so, ratio, band_rate, k)
-    ok, term, edge = ws("check", (3, cols.size), bool)
-    ok = np.logical_or(np.equal(first, 0, out=ok), np.less(g[0], 0, out=term), out=ok)
-    ok &= np.logical_or(np.equal(last, n - 1, out=edge), np.less(g[3], 0, out=term), out=term)
-    ok &= np.greater(g[1], 0, out=term)
-    ok &= np.greater(g[2], 0, out=term)
+    ok = ((first == 0) | (g[0] < 0)) & ((last == n - 1) | (g[3] < 0)) & (g[1] > 0) & (g[2] > 0)
     checked = np.bincount(p, np.where(ok, last - first + 1, 0), len(points))
-    miss = np.logical_not(ok, out=term)
+    miss = ~ok
 
     # A column that fails the check is bisected with the predicate, which
     # is false, then true up to best, then false again.

@@ -427,8 +427,12 @@ class TestCli:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 2
             assert f"{key} must be positive" in capsys.readouterr().err
 
-    def test_missing_config_file_exit_2(self, tmp_path):
-        assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        undecodable = tmp_path / "latin1.cfg"
+        undecodable.write_bytes("# caf\u00e9\nsweep=theta_deg\nstart=0\nstop=10\nstep=5\n".encode("latin-1"))
+        for path in (tmp_path / "absent.cfg", undecodable):
+            assert main(["sweep", "--config", str(path)]) == 2
+            assert "error: cannot read config: " in capsys.readouterr().err
 
     def test_domain_error_exit_3(self, tmp_path, capsys):
         for text, message in [
@@ -612,6 +616,22 @@ class TestCli:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("# o2i-los")
+
+    def test_closed_stdout_exit_1(self, tmp_path):
+        # 94,000 rows outgrow the pipe's buffer, so writing fails once the reader has gone.
+        cfg = self.write(tmp_path, "sweep=theta_deg\nstart=-47\nstop=47\nstep=0.001\n"
+                                   "outputs=p_los_closed\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "o2i_los", "sweep", "--config", cfg],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.stdout.readline().startswith("# o2i-los")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: cannot write output: ")
 
     def test_readme_cli_examples_run(self, tmp_path, monkeypatch, capsys):
         block = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
