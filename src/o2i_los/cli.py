@@ -7,6 +7,8 @@ Exit codes: 0 on success, 2 for config errors, 3 for runtime domain errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -18,23 +20,27 @@ from .sweep import (
 )
 
 
+def _write(write, path: str | None = None) -> int:
+    """write(stream) to the file at path, or to stdout; output that cannot be written exits 1."""
+    try:
+        with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as stream:
+            write(stream)
+            stream.flush()
+    except OSError as err:
+        if path is None:  # the exit flush of what stdout still holds goes nowhere, not to a traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
     record = run_sweep(parse_config(text))
-    try:
-        if args.out is None:
-            emit_csv(record, sys.stdout)
-            sys.stdout.flush()
-        else:
-            with open(args.out, "w") as stream:
-                emit_csv(record, stream)
-    except OSError as err:
-        print(f"error: cannot write output: {err}", file=sys.stderr)
-        return 1
-    return 0
+    return _write(lambda stream: emit_csv(record, stream), args.out)
 
 
 def _scene(values: dict[str, float]) -> SceneGeometry:
@@ -45,8 +51,8 @@ def _scene(values: dict[str, float]) -> SceneGeometry:
 
 
 def _cmd_critical_freq(args: argparse.Namespace) -> int:
-    print(critical_frequency(_scene(dict(vars(args), theta_deg=0.0))))
-    return 0
+    frequency = critical_frequency(_scene(dict(vars(args), theta_deg=0.0)))
+    return _write(lambda stream: stream.write(f"{frequency}\n"))
 
 
 def _cmd_los_point(args: argparse.Namespace) -> int:
@@ -55,15 +61,10 @@ def _cmd_los_point(args: argparse.Namespace) -> int:
     if not (0.0 < args.ms_x <= scene.room_side and abs(args.ms_y) <= scene.room_side / 2):
         raise ValueError("MS outside room")
     c = clearances(scene, args.ms_x, args.ms_y, wavelength(args.frequency_hz))
-    print(f"los={'true' if c.los else 'false'}")
-    print(f"d1={c.d1}")
-    print(f"d2={c.d2}")
-    print(f"crossing_y={c.crossing_y}")
-    print(f"r_d={c.r_d}")
-    print(f"clearance_threshold={LOS_CLEARANCE_RATIO * c.r_d}")
-    print(f"clearance_lower={c.lower}")
-    print(f"clearance_upper={c.upper}")
-    return 0
+    text = (f"los={'true' if c.los else 'false'}\nd1={c.d1}\nd2={c.d2}\ncrossing_y={c.crossing_y}\n"
+            f"r_d={c.r_d}\nclearance_threshold={LOS_CLEARANCE_RATIO * c.r_d}\n"
+            f"clearance_lower={c.lower}\nclearance_upper={c.upper}\n")
+    return _write(lambda stream: stream.write(text))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -88,7 +88,7 @@ def _gamma_p_series(m: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * 1e-17:
+        if term < total * 1e-17:  # both positive
             break
     else:
         raise ValueError(f"incomplete gamma series did not converge at m={m!r}, x={x!r}")

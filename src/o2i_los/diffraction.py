@@ -8,6 +8,7 @@ that yields 0.5 - C and 0.5 - S, from which the deep-shadow loss is formed.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -15,6 +16,9 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 _SERIES_CUTOFF = 1.5
 _EPS = 1e-15
 _MAX_ITER = 400
+# The continued fraction's numerators -n(n + 1), n = 1, 3, ..., as floats: a * d and a / cc
+# see an int or a float alike as complex(a, 0.0).
+_PARTIAL_NUMERATORS = tuple(float(-n * (n + 1)) for n in range(1, 2 * _MAX_ITER, 2))
 
 
 def wavelength(frequency: float) -> float:
@@ -64,10 +68,7 @@ def _fresnel_continued_fraction(x: float) -> complex:
     cc = complex(1e300, 0.0)
     d = 1.0 / b
     h = d
-    n = -1
-    for _ in range(_MAX_ITER):
-        n += 2
-        a = -n * (n + 1)
+    for a in islice(_PARTIAL_NUMERATORS, _MAX_ITER):
         b += 4.0
         d = 1.0 / (a * d + b)
         cc = b + a / cc

@@ -212,14 +212,14 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     # The margin's band per unit of its clearance term, with the cancellation factor.
     band_rate = (1.0 / xs + 1.0 / standoff) * (half_room + np.abs(bs_y)) * _CANCELLATION_ULP + _NEAR_ZERO
 
-    # A view of the leading elements of the flat buffer kept under name, made anew
-    # only when a request outgrows it.  A fresh array per operation has pages the
-    # heap would trim and fault in again; arrays live at the same time need
-    # different names.
+    # A view of the leading elements of the flat buffer kept under name, made anew,
+    # in whole multiples of _CHUNK_COLUMNS, only when a request outgrows it.  A fresh
+    # array per operation has pages the heap would trim and fault in again; arrays
+    # live at the same time need different names.
     def ws(name, shape, dtype=float):
         size = math.prod(shape)
         if name not in scratch or scratch[name].size < size:
-            scratch[name] = np.empty(size, dtype)
+            scratch[name] = np.empty(-(-size // _CHUNK_COLUMNS) * _CHUNK_COLUMNS, dtype)
         return scratch[name][:size].reshape(shape)
 
     def at(p, x, j):  # the predicate's verdict for points p at depth x and row index j

@@ -146,53 +146,47 @@ def _path_loss_db(values: dict[str, float]) -> float:
     return total_path_loss_db(d1, d2, delta, lam)
 
 
-def _p_cov(v: dict[str, float]) -> float:
-    if v["window_m"] > v["room_m"]:  # SceneGeometry's check, without building one per point
+def _window_in_room(v: dict[str, float]) -> float:
+    if v["window_m"] > v["room_m"]:  # SceneGeometry's check, for p_cov, which builds no scene
         raise ValueError("window exceeds room")
-    return coverage_probability(
-        v["bs_distance_m"], v["ms_distance_m"], v["window_m"], _fading_from(v), _budget_from(v)
-    ).p_cov
+    return v["window_m"]
 
 
-def _each(evaluate):
-    """Column of evaluate over the points {**fixed, swept: value}; a failure names its value."""
-    def at(value: float, spec: SweepSpec) -> float:
-        try:
-            return evaluate({**spec.fixed, spec.swept: value})
-        except (ValueError, ArithmeticError) as err:
-            raise ValueError(f"at {spec.swept}={value!r}: {err}") from err
+def _p_cov(v: dict[str, float], window: float, fading, budget) -> float:
+    return coverage_probability(v["bs_distance_m"], v["ms_distance_m"], window, fading, budget).p_cov
 
-    return lambda values, spec: [at(value, spec) for value in values]
+
+# Inputs the outputs share, and the sweepable keys each is built from: one per point if
+# the swept key is among them, else one per sweep.
+_INPUTS = {_scene_from: _SCENE_KEYS, _window_in_room: ("window_m", "room_m"),
+           _fading_from: (), _budget_from: ("frequency_hz",)}
 
 
 _LINK_KEYS = (
     "bs_distance_m", "ms_distance_m", "window_m", "frequency_hz", "tx_power_dbm",
     "noise_dbm", "snr_threshold_db", "m_los", "m_nlos", "n_los", "n_nlos",
 )
-# Each output: its evaluator of (swept values, spec) to one value per point,
+# Each output: its evaluator of (run_sweep's column, spec) to one value per point,
 # and the keys it reads.  The grid oracle takes all points in one batch.
 OUTPUTS = {
     "p_los_closed": (
-        _each(lambda v: p_los_closed(_scene_from(v), v["frequency_hz"])),
+        lambda column, spec: column(lambda v, s: p_los_closed(s, v["frequency_hz"]), _scene_from),
         (*_SCENE_KEYS, "frequency_hz"),
     ),
     "p_los_grid": (
-        lambda values, spec: p_los_grids(
-            _each(lambda v: (_scene_from(v), wavelength(v["frequency_hz"])))(values, spec),
+        lambda column, spec: p_los_grids(
+            column(lambda v, s: (s, wavelength(v["frequency_hz"])), _scene_from),
             GridSpec(spec.oracle_n),
         ),
         (*_SCENE_KEYS, "frequency_hz"),
     ),
-    "p_los_optical": (
-        _each(lambda v: p_los_optical(_scene_from(v))),
-        ("room_m", "window_m", "bs_distance_m"),
-    ),
-    "path_loss_db": (_each(_path_loss_db), ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
-    "p_cov": (_each(_p_cov), _LINK_KEYS),
-    "critical_frequency_hz": (
-        _each(lambda v: critical_frequency(_scene_from(v))),
-        ("window_m", "bs_distance_m", "room_m"),
-    ),
+    "p_los_optical": (lambda column, spec: column(lambda v, s: p_los_optical(s), _scene_from),
+                      ("room_m", "window_m", "bs_distance_m")),
+    "path_loss_db": (lambda column, spec: column(_path_loss_db),
+                     ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
+    "p_cov": (lambda column, spec: column(_p_cov, _window_in_room, _fading_from, _budget_from), _LINK_KEYS),
+    "critical_frequency_hz": (lambda column, spec: column(lambda v, s: critical_frequency(s), _scene_from),
+                              ("window_m", "bs_distance_m", "room_m")),
 }
 
 
@@ -265,7 +259,31 @@ def parse_config(text: str) -> SweepSpec:
 def run_sweep(spec: SweepSpec) -> RunRecord:
     """Evaluate every output at every point; a failing or non-finite one raises ValueError."""
     values = spec.values()
-    rows = list(zip(values, *(OUTPUTS[name][0](values, spec) for name in spec.outputs)))
+    points = [{**spec.fixed, spec.swept: value} for value in values]
+    inputs, errors = {}, {}  # each build's inputs up to the point where it fails, and that failure
+
+    def column(evaluate, *builds):  # evaluate(v, *inputs) at each point; a failure names its value
+        for build in [b for b in builds if b not in inputs]:
+            inputs[build] = made = []
+            try:
+                if spec.swept in _INPUTS[build]:
+                    for v in points:
+                        made.append(build(v))
+                else:
+                    made += [build(spec.fixed)] * len(points)
+            except (ValueError, ArithmeticError) as err:
+                errors[build] = err
+        out, cols = [], [inputs[b] for b in builds]
+        try:
+            for v, *args in zip(points, *cols):
+                out.append(evaluate(v, *args))
+            if len(out) < len(points):  # an input failed here: the first that evaluate reads raises
+                raise next(errors[b] for b, col in zip(builds, cols) if len(col) == len(out))
+        except (ValueError, ArithmeticError) as err:
+            raise ValueError(f"at {spec.swept}={values[len(out)]!r}: {err}") from err
+        return out
+
+    rows = list(zip(values, *(OUTPUTS[name][0](column, spec) for name in spec.outputs)))
     for row in rows:
         if not all(map(math.isfinite, row[1:])):
             named = dict(zip(spec.outputs, row[1:]))
@@ -297,4 +315,4 @@ def emit_csv(record: RunRecord, stream: TextIO) -> None:
         stream.write(f"# {line}\n")
     stream.write(",".join((record.spec.swept,) + record.spec.outputs) + "\n")
     for row in record.rows:
-        stream.write(",".join(repr(value) for value in row) + "\n")
+        stream.write(",".join(map(repr, row)) + "\n")

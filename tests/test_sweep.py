@@ -13,10 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from o2i_los import cli, diffraction, los, sweep
 from o2i_los.cli import main
-from o2i_los.coverage import LinkBudget, mean_snr
-from o2i_los.diffraction import SPEED_OF_LIGHT, free_space_path_loss_db, wavelength
+from o2i_los.coverage import FadingModel, LinkBudget, coverage_probability, mean_snr
+from o2i_los.diffraction import (
+    SPEED_OF_LIGHT, free_space_path_loss_db, fresnel_radius, total_path_loss_db, wavelength,
+)
 from o2i_los.geometry import SceneGeometry
-from o2i_los.los import clearances
+from o2i_los.los import (
+    GridSpec, clearances, critical_frequency, p_los_closed, p_los_grid, p_los_optical,
+)
 from o2i_los.sweep import (
     MAX_GRID_COLUMNS,
     MAX_ORACLE_N,
@@ -250,6 +254,79 @@ class TestRunSweep:
             if key != swept:
                 changed = [column({**base, key: other}) != column(base) for base in bases]
                 assert any(changed) == (key in reads), key
+
+    @staticmethod
+    def fresh(output, v, oracle_n):
+        """output at the key dict v, from a freshly built scene, fading model and link budget."""
+        scene = SceneGeometry(v["room_m"], v["window_m"], v["bs_distance_m"], math.radians(v["theta_deg"]))
+        f = v["frequency_hz"]
+        if output == "path_loss_db":
+            lam = wavelength(f)
+            delta = v["delta_over_rd"] * fresnel_radius(v["d1_m"], v["d2_m"], lam)
+            return total_path_loss_db(v["d1_m"], v["d2_m"], delta, lam)
+        if output == "p_cov":
+            fading = FadingModel(v["m_los"], v["m_nlos"], v["n_los"], v["n_nlos"])
+            budget = LinkBudget(f, v["tx_power_dbm"], v["noise_dbm"], v["snr_threshold_db"])
+            return coverage_probability(
+                v["bs_distance_m"], v["ms_distance_m"], v["window_m"], fading, budget
+            ).p_cov
+        return {
+            "p_los_closed": lambda: p_los_closed(scene, f),
+            "p_los_grid": lambda: p_los_grid(scene, f, GridSpec(oracle_n)),
+            "p_los_optical": lambda: p_los_optical(scene),
+            "critical_frequency_hz": lambda: critical_frequency(scene),
+        }[output]()
+
+    @pytest.mark.parametrize("swept", sweep.SWEEPABLE)
+    def test_shared_inputs_match_fresh_ones(self, swept):
+        # Every output that reads the swept key, in one sweep, so the outputs share
+        # their inputs: per point where the swept key feeds them (the scene under a
+        # theta sweep, the link budget under a frequency sweep), else once per sweep.
+        outputs = [name for name, (_, reads) in OUTPUTS.items() if swept in reads]
+        start, stop, step = self.SWEEP_RANGE[swept]
+        fixed = {key: value for key, value in self.OTHER_VALUE.items() if key != swept}
+        spec = SweepSpec(swept, start, stop, step, fixed, tuple(outputs), oracle_n=40)
+        rows = run_sweep(spec).rows
+        assert len(rows) == 3
+        for value, *got in rows:
+            v = {**spec.fixed, swept: value}
+            want = [self.fresh(name, v, spec.oracle_n) for name in outputs]
+            assert [x.hex() for x in got] == [x.hex() for x in want], (swept, value)
+
+    @pytest.mark.parametrize("text, built", [
+        ("sweep=bs_distance_m\nstart=1\nstop=10\nstep=1\n"
+         "outputs=p_los_closed,p_los_optical,critical_frequency_hz,p_cov",
+         {"SceneGeometry": 10, "FadingModel": 1, "LinkBudget": 1}),
+        ("sweep=frequency_hz\nstart=1e9\nstop=10e9\nstep=1e9\noutputs=p_los_closed,p_cov",
+         {"SceneGeometry": 1, "FadingModel": 1, "LinkBudget": 10}),
+        ("sweep=delta_over_rd\nstart=-1\nstop=1\nstep=0.5\noutputs=path_loss_db",
+         {"SceneGeometry": 0, "FadingModel": 0, "LinkBudget": 0}),
+    ], ids=["standoff", "frequency", "clearance"])
+    def test_inputs_built_once(self, text, built, monkeypatch):
+        spec = parse_config(text)
+        counts = dict.fromkeys(built, 0)
+
+        def counting(cls):
+            def make(*args):
+                counts[cls.__name__] += 1
+                return cls(*args)
+            return make
+
+        for name in built:
+            monkeypatch.setattr(sweep, name, counting(getattr(sweep, name)))
+        run_sweep(spec)
+        assert counts == built
+
+    def test_failed_input_raises_at_first_point_that_reads_it(self):
+        # A fading model that cannot be built fails p_cov at the first point whose window
+        # fits the room; before that point the window check fails first.
+        fixed = {**sweep._NUMERIC_DEFAULTS, "m_los": 0.1}
+        del fixed["window_m"]
+        for start, message in [(16.0, "at window_m=16.0: Nakagami shape"),
+                               (22.0, "at window_m=22.0: window exceeds room")]:
+            spec = SweepSpec("window_m", start, start + 4.0, 2.0, fixed, ("p_cov",))
+            with pytest.raises(ValueError, match=message):
+                run_sweep(spec)
 
 
 class TestEmitCsv:
@@ -632,6 +709,29 @@ class TestCli:
         assert proc.wait() == 1
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["los-point", "--ms-x", "20", "--ms-y", "0"],
+        ["critical-freq", "--window-m", "2", "--bs-distance-m", "5", "--room-m", "20"],
+    ], ids=["los-point", "critical-freq"])
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exit_1_short_output(self, argv, unbuffered):
+        # The read end is closed before the child starts, so its first write fails;
+        # buffered, what stdout still holds would otherwise fail again at exit.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "o2i_los", *argv], stdout=write_end,
+                                    stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: cannot write output: ")
 
     def test_readme_cli_examples_run(self, tmp_path, monkeypatch, capsys):
         block = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
