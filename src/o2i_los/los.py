@@ -188,10 +188,11 @@ def p_los_grids(points, grid: GridSpec) -> list[float]:
     if not all(0 < wavelength_m < math.inf for _, wavelength_m in points):
         raise ValueError("wavelength must be positive and finite")
     size, scratch = max(1, _CHUNK_COLUMNS // grid.n), {}
-    return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], grid.n, scratch)]
+    unit = _CHUNK_COLUMNS if len(points) > size else 1  # round buffers up only for a later chunk
+    return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], grid.n, scratch, unit)]
 
 
-def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
+def _grid_chunk(points, n: int, scratch: dict, unit: int) -> list[float]:
     import numpy as np
 
     # Per-point values as (P, 1) columns against the (P, n) grid; np.take reads
@@ -213,13 +214,13 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     band_rate = (1.0 / xs + 1.0 / standoff) * (half_room + np.abs(bs_y)) * _CANCELLATION_ULP + _NEAR_ZERO
 
     # A view of the leading elements of the flat buffer kept under name, made anew,
-    # in whole multiples of _CHUNK_COLUMNS, only when a request outgrows it.  A fresh
+    # in whole multiples of unit, only when a request outgrows it.  A fresh
     # array per operation has pages the heap would trim and fault in again; arrays
     # live at the same time need different names.
     def ws(name, shape, dtype=float):
         size = math.prod(shape)
         if name not in scratch or scratch[name].size < size:
-            scratch[name] = np.empty(-(-size // _CHUNK_COLUMNS) * _CHUNK_COLUMNS, dtype)
+            scratch[name] = np.empty(-(-size // unit) * unit, dtype)
         return scratch[name][:size].reshape(shape)
 
     def at(p, x, j):  # the predicate's verdict for points p at depth x and row index j
@@ -251,7 +252,8 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     # unless the Fresnel term's slope there exceeds the unit slope of |u|,
     # in which case s = +-s_max solves 3k/(2 standoff) s (1+s^2)^(-1/4) = 1.
     # An overflow there gives s_max = inf, the no-clamp limit, so it is silenced.
-    k = np.sqrt(lam * standoff * xs / x_so) * LOS_CLEARANCE_RATIO
+    # K takes ratio, as lam * standoff overflows near the float limit, and stays finite.
+    k = np.sqrt(lam * xs * ratio) * LOS_CLEARANCE_RATIO
     with np.errstate(over="ignore"):
         c2 = np.square(2.0 * standoff / (k * 3.0))
         s_max = np.sqrt(c2 * (np.sqrt(c2 * c2 + 4.0) + c2) / 2.0)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from operator import length_hint
 from typing import TextIO
 
 from .coverage import FadingModel, LinkBudget, coverage_probability
-from .diffraction import fresnel_radius, total_path_loss_db, wavelength
+from .diffraction import (diffraction_parameter, free_space_path_loss_db, fresnel_radius,
+                          ked_excess_loss_db, wavelength)
 from .geometry import SceneGeometry
 from .los import GridSpec, critical_frequency, p_los_closed, p_los_grids, p_los_optical
 
@@ -139,11 +141,20 @@ def _budget_from(v: dict[str, float]) -> LinkBudget:
     return LinkBudget(v["frequency_hz"], v["tx_power_dbm"], v["noise_dbm"], v["snr_threshold_db"])
 
 
-def _path_loss_db(values: dict[str, float]) -> float:
-    lam = wavelength(values["frequency_hz"])
-    d1, d2 = values["d1_m"], values["d2_m"]
-    delta = values["delta_over_rd"] * fresnel_radius(d1, d2, lam)
-    return total_path_loss_db(d1, d2, delta, lam)
+def _path_loss_db(column, spec) -> list[float]:
+    # total_path_loss_db at each point; the knife-edge loss is taken once per distinct v in
+    # this sweep, as v = sqrt(2) delta / r_d does not read the frequency.
+    memo = {}
+
+    def loss(values):
+        lam = wavelength(values["frequency_hz"])
+        d1, d2 = values["d1_m"], values["d2_m"]
+        v = diffraction_parameter(values["delta_over_rd"] * fresnel_radius(d1, d2, lam), d1, d2, lam)
+        free_space = free_space_path_loss_db(d1 + d2, lam)
+        if v not in memo:
+            memo[v] = ked_excess_loss_db(v)
+        return free_space + memo[v]
+    return column(loss)
 
 
 def _window_in_room(v: dict[str, float]) -> float:
@@ -182,8 +193,7 @@ OUTPUTS = {
     ),
     "p_los_optical": (lambda column, spec: column(lambda v, s: p_los_optical(s), _scene_from),
                       ("room_m", "window_m", "bs_distance_m")),
-    "path_loss_db": (lambda column, spec: column(_path_loss_db),
-                     ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
+    "path_loss_db": (_path_loss_db, ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
     "p_cov": (lambda column, spec: column(_p_cov, _window_in_room, _fading_from, _budget_from), _LINK_KEYS),
     "critical_frequency_hz": (lambda column, spec: column(lambda v, s: critical_frequency(s), _scene_from),
                               ("window_m", "bs_distance_m", "room_m")),
@@ -273,22 +283,23 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
                     made += [build(spec.fixed)] * len(points)
             except (ValueError, ArithmeticError) as err:
                 errors[build] = err
-        out, cols = [], [inputs[b] for b in builds]
+        cols, unread = [inputs[b] for b in builds], iter(points)
         try:
-            for v, *args in zip(points, *cols):
-                out.append(evaluate(v, *args))
+            out = list(map(evaluate, unread, *cols))
             if len(out) < len(points):  # an input failed here: the first that evaluate reads raises
                 raise next(errors[b] for b, col in zip(builds, cols) if len(col) == len(out))
         except (ValueError, ArithmeticError) as err:
-            raise ValueError(f"at {spec.swept}={values[len(out)]!r}: {err}") from err
+            failed = len(points) - length_hint(unread) - 1  # map draws a point before its inputs
+            raise ValueError(f"at {spec.swept}={values[failed]!r}: {err}") from err
         return out
 
-    rows = list(zip(values, *(OUTPUTS[name][0](column, spec) for name in spec.outputs)))
-    for row in rows:
-        if not all(map(math.isfinite, row[1:])):
-            named = dict(zip(spec.outputs, row[1:]))
-            raise ValueError(f"at {spec.swept}={row[0]!r}: non-finite output {named}")
-    return RunRecord(spec=spec, rows=rows)
+    columns = [OUTPUTS[name][0](column, spec) for name in spec.outputs]
+    if not all(all(map(math.isfinite, col)) for col in columns):
+        for row in zip(values, *columns):
+            if not all(map(math.isfinite, row[1:])):
+                named = dict(zip(spec.outputs, row[1:]))
+                raise ValueError(f"at {spec.swept}={row[0]!r}: non-finite output {named}")
+    return RunRecord(spec=spec, rows=list(zip(values, *columns)))
 
 
 def config_echo(spec: SweepSpec) -> list[str]:

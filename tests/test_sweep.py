@@ -185,10 +185,13 @@ class TestRunSweep:
 
     @pytest.mark.filterwarnings("error")
     def test_extreme_standoff_grid_warns_nothing(self):
-        # The seed slope's square overflows here; s_max = inf is the no-clamp limit.
-        text = "sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_los_grid\noracle_n=10"
-        record = run_sweep(parse_config(text))
-        assert [row[1] for row in record.rows] == [0.0] * 4
+        # The seed slope's square overflows here; s_max = inf is the no-clamp limit.  At
+        # 100 MHz lam * standoff overflows too, and K must stay finite for the dark verdict.
+        for frequency in ("28e9", "1e8"):
+            text = ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_los_grid\n"
+                    f"oracle_n=10\nfrequency_hz={frequency}")
+            record = run_sweep(parse_config(text))
+            assert [row[1] for row in record.rows] == [0.0] * 4, frequency
 
     def test_knife_edge_transition(self):
         text = (
@@ -327,6 +330,56 @@ class TestRunSweep:
             spec = SweepSpec("window_m", start, start + 4.0, 2.0, fixed, ("p_cov",))
             with pytest.raises(ValueError, match=message):
                 run_sweep(spec)
+
+    def test_knife_edge_loss_once_per_distinct_v(self, monkeypatch):
+        # v = sqrt(2) delta / r_d does not read the frequency, so a frequency sweep at a
+        # fixed delta / r_d takes few distinct v; at 1.1, |v| = 1.56 takes the continued fraction.
+        text = "sweep=frequency_hz\nstart=1e9\nstop=100e9\nstep=1e9\ndelta_over_rd=1.1\noutputs=path_loss_db"
+        spec, ked, seen = parse_config(text), sweep.ked_excess_loss_db, []
+
+        def counting(v):
+            seen.append(v)
+            return ked(v)
+
+        monkeypatch.setattr(sweep, "ked_excess_loss_db", counting)
+        d1, d2 = spec.fixed["d1_m"], spec.fixed["d2_m"]
+        want, vs = [], set()
+        for f in spec.values():
+            lam = wavelength(f)
+            delta = 1.1 * fresnel_radius(d1, d2, lam)
+            want.append(total_path_loss_db(d1, d2, delta, lam))
+            vs.add(diffraction.diffraction_parameter(delta, d1, d2, lam))
+        assert min(vs) > 1.5 and 1 < len(vs) < 10
+        for _ in range(2):  # the second sweep counts from zero: nothing is kept between calls
+            seen.clear()
+            rows = run_sweep(spec).rows
+            assert sorted(seen) == sorted(vs)
+            assert [loss.hex() for _, loss in rows] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("outputs", ["p_los_optical,critical_frequency_hz",
+                                         "critical_frequency_hz,p_los_optical"])
+    def test_raise_at_later_point_wins_over_non_finite(self, outputs, monkeypatch):
+        # Every column is computed before the non-finite scan, so a raise at any point wins.
+        monkeypatch.setattr(sweep, "p_los_optical", lambda s: math.inf if s.window_width == 1.0 else 0.5)
+
+        def critical(s):
+            if s.window_width == 3.0:
+                raise ValueError("stub failure")
+            return 1e9
+
+        monkeypatch.setattr(sweep, "critical_frequency", critical)
+        spec = parse_config(f"sweep=window_m\nstart=1\nstop=4\nstep=1\noutputs={outputs}")
+        with pytest.raises(ValueError, match=r"^at window_m=3\.0: stub failure$"):
+            run_sweep(spec)
+
+    def test_non_finite_names_first_bad_row_with_every_output(self, monkeypatch):
+        monkeypatch.setattr(sweep, "p_los_optical", lambda s: math.nan if s.window_width == 3.0 else 0.5)
+        monkeypatch.setattr(sweep, "critical_frequency", lambda s: math.inf if s.window_width == 2.0 else 1e9)
+        spec = parse_config("sweep=window_m\nstart=1\nstop=4\nstep=1\noutputs=p_los_optical,critical_frequency_hz")
+        with pytest.raises(ValueError) as info:
+            run_sweep(spec)
+        assert str(info.value) == (
+            "at window_m=2.0: non-finite output {'p_los_optical': 0.5, 'critical_frequency_hz': inf}")
 
 
 class TestEmitCsv:
@@ -545,8 +598,8 @@ class TestCli:
 
     def test_non_finite_output_exit_3(self, tmp_path, capsys, monkeypatch):
         # No output is known to return inf for a valid point since the deep
-        # shadow became finite; a stubbed loss stands in to reach the row check.
-        monkeypatch.setattr(sweep, "total_path_loss_db", lambda d1, d2, delta, lam: math.inf)
+        # shadow became finite; a stubbed knife-edge loss stands in to reach the row check.
+        monkeypatch.setattr(sweep, "ked_excess_loss_db", lambda v: math.inf)
         text = "sweep=delta_over_rd\nstart=-2e16\nstop=-1e16\nstep=1e16\noutputs=path_loss_db\n"
         assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
         assert ("delta_over_rd=-2e+16: non-finite output {'path_loss_db': inf}"
