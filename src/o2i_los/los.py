@@ -10,7 +10,9 @@ A receiver is LoS when the margin h - |u| - LOS_CLEARANCE_RATIO r_d /
 cos_norm is >= 0, for half window h and wall crossing u.  Along a grid
 column u is affine in y and the clearance term has the smooth form
 K (1 + s^2)^(3/4) of the path slope s, convex in y, so the margin is concave
-and a column's LoS cells form one run.  p_los_grids decides cells by it
+and a column's LoS cells form one run.  The predicate forms u as a weighted
+mean of the receiver's and the base station's y, so no term loses digits to
+cancellation at any standoff.  p_los_grids decides cells by the margin
 outside a rounding band about zero, and takes the predicate only for the
 columns it cannot settle.
 """
@@ -36,12 +38,10 @@ LOS_CLEARANCE_RATIO = 0.6
 # wall at atan((L/2)/L); independent of the room size for a square room.
 CORNER_RAY_ANGLE = math.atan(0.5)
 
-# The smooth margin decides a grid cell only outside a band about zero:
-# _NEAR_ZERO of the size of its terms, plus _CANCELLATION_ULP of the clearance
-# term times the factor by which the predicate's path lengths lose digits to
-# cancellation (their rounding measured under 1.5 ulp times that factor).
+# The smooth margin decides a grid cell only outside a band about zero,
+# _NEAR_ZERO of the sum of its terms' sizes; the predicate's terms lose no
+# digits to cancellation, so that covers the rounding of both forms.
 _NEAR_ZERO = 1e-9
-_CANCELLATION_ULP = 2.0**-46
 
 # Newton steps that predict each grid column's two LoS boundaries.
 _NEWTON_STEPS = 3
@@ -149,14 +149,17 @@ def _clearances(bs_x, bs_y, half_window, x, y, wavelength_m) -> Clearances:
     # clearances for a base station and half-window given as floats or broadcasting arrays.
     import numpy as np
 
-    t = (0.0 - bs_x) / (x - bs_x)
-    y_cross = bs_y + (y - bs_y) * t
-    d1 = np.hypot(0.0 - bs_x, y_cross - bs_y)
+    # The wall crossing as a weighted mean of y and bs_y, so neither loses its
+    # digits to the other; t = d1 / (d1 + d2) by similar triangles.
+    so = 0.0 - bs_x
+    t = so / (x + so)
+    y_cross = y * t + bs_y * (x / (x + so))
+    d1 = np.hypot(so, y_cross - bs_y)
     d2 = np.hypot(x, y - y_cross)
-    rd = np.sqrt(wavelength_m * d1 * d2 / (d1 + d2))
+    rd = np.sqrt(wavelength_m * d2 * t)
     # Perpendicular edge clearance = wall-plane offset scaled by the path
     # direction cosine against the wall normal.
-    cos_norm = (x - bs_x) / np.hypot(x - bs_x, y - bs_y)
+    cos_norm = x / d2
     threshold = LOS_CLEARANCE_RATIO * rd
     lower = (y_cross + half_window) * cos_norm
     upper = (half_window - y_cross) * cos_norm
@@ -175,31 +178,29 @@ def p_los_grids(points, grid: GridSpec) -> list[float]:
     A chunk of _CHUNK_COLUMNS // n points, or one when n is larger, is
     vectorised across its grid columns.  The smooth margin picks each
     column's best cell of the two next to its closed-form maximiser, and
-    _NEWTON_STEPS Newton steps predict the run's first and last cell; the
-    smooth margin at those and their outer neighbours checks them.  Its band
-    covers the rounding of both forms, and the predicate takes the rest: a
-    lit column whose check fails is bisected from its best cell, and a
-    column whose best margin lies in the band is counted cell by cell.  The
-    counts equal the predicate's on every cell.  The chunks of one call share
-    one scratch dict, made for this call alone: the margin, the Newton loop
-    and the check's rows write in place into its buffers, and the rest,
-    bool masks and per-column results included, is plain numpy.
+    _NEWTON_STEPS float32 Newton steps predict the run's first and last
+    cell; the smooth margin at those and their outer neighbours checks them.
+    Its band covers the rounding of both forms, and the predicate takes the
+    rest: a lit column whose check fails is bisected from its best cell, and
+    a column whose best margin lies in the band is counted cell by cell.
+    The counts equal the predicate's on every cell.  The chunks of one call
+    share one scratch dict, made for this call alone: the margin and the
+    check's rows write in place into its buffers, and the rest is plain numpy.
     """
     if not all(0 < wavelength_m < math.inf for _, wavelength_m in points):
         raise ValueError("wavelength must be positive and finite")
     size, scratch = max(1, _CHUNK_COLUMNS // grid.n), {}
-    unit = _CHUNK_COLUMNS if len(points) > size else 1  # round buffers up only for a later chunk
-    return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], grid.n, scratch, unit)]
+    return [f for i in range(0, len(points), size) for f in _grid_chunk(points[i:i + size], grid.n, scratch)]
 
 
-def _grid_chunk(points, n: int, scratch: dict, unit: int) -> list[float]:
+def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     import numpy as np
 
     # Per-point values as (P, 1) columns against the (P, n) grid; np.take reads
-    # both flat, where grid column c is point c // n's.  Only the margin, the
-    # Newton loop and the check's rows write in place, into the buffers of
-    # scratch, in the order of the expression each comment gives, so every value
-    # is rounded as that expression rounds it; the rest is plain numpy.
+    # both flat, where grid column c is point c // n's.  Only the margin and the
+    # check's rows write in place, into the buffers of scratch, in the order of
+    # the expression each comment gives, so every value is rounded as that
+    # expression rounds it; the rest is plain numpy.
     bs_x, bs_y, h, lam, room, tan = np.array([
         (*bs_position(sc), sc.window_width / 2.0, wavelength_m, sc.room_side, math.tan(sc.bs_angle))
         for sc, wavelength_m in points
@@ -210,32 +211,31 @@ def _grid_chunk(points, n: int, scratch: dict, unit: int) -> list[float]:
     ys = xs - half_room
     x_so = xs + standoff
     ratio = standoff / x_so
-    # The margin's band per unit of its clearance term, with the cancellation factor.
-    band_rate = (1.0 / xs + 1.0 / standoff) * (half_room + np.abs(bs_y)) * _CANCELLATION_ULP + _NEAR_ZERO
+    shift = bs_y * (xs / x_so)  # the crossing is y * ratio + shift, as _clearances forms it
 
-    # A view of the leading elements of the flat buffer kept under name, made anew,
-    # in whole multiples of unit, only when a request outgrows it.  A fresh
-    # array per operation has pages the heap would trim and fault in again; arrays
-    # live at the same time need different names.
+    # A view of the leading elements of the flat buffer kept under name, made
+    # anew only when a request outgrows it.  A fresh array per operation has
+    # pages the heap would trim and fault in again; arrays live at the same
+    # time need different names.
     def ws(name, shape, dtype=float):
         size = math.prod(shape)
         if name not in scratch or scratch[name].size < size:
-            scratch[name] = np.empty(-(-size // unit) * unit, dtype)
+            scratch[name] = np.empty(size, dtype)
         return scratch[name][:size].reshape(shape)
 
     def at(p, x, j):  # the predicate's verdict for points p at depth x and row index j
         bx, by, hw, wl, base = (np.take(a, p) for a in (bs_x, bs_y, h, lam, offset))
         return _clearances(bx, by, hw, x, np.take(ys, base + j), wl).los
 
-    def row_of(s, x_so, by, half, st):  # the float row where a path of slope s crosses depth x
-        return (s * x_so + by + half) / st - 0.5
+    def row_of(s, u, x, half, st):  # the float row where a path of slope s through wall point u reaches depth x
+        return (u + s * x + half) / st - 0.5
 
-    def margin(j, by, hw, base, x_so, ratio, band_rate, k):  # the smooth margin where it decides the verdict, else 0
+    def margin(j, by, hw, base, x_so, ratio, shift, k):  # the smooth margin where it decides the verdict, else 0
         index = np.add(base, j, out=ws("m_index", j.shape, np.intp))
-        rise = np.take(ys, index, out=ws("m_rise", j.shape), mode="clip")
-        rise -= by
-        u = np.multiply(rise, ratio, out=ws("m_u", j.shape))  # rise * (standoff / (x + standoff))
-        u = np.abs(np.add(u, by, out=u), out=u)  # |crossing|, rounded as _clearances rounds it
+        y = np.take(ys, index, out=ws("m_y", j.shape), mode="clip")
+        u = np.multiply(y, ratio, out=ws("m_u", j.shape))
+        u = np.abs(np.add(u, shift, out=u), out=u)  # |y * ratio + shift|
+        rise = np.subtract(y, by, out=y)
         q = np.square(np.divide(rise, x_so, out=rise), out=rise)
         q += 1.0
         g = np.sqrt(q, out=ws("margin", j.shape))
@@ -243,8 +243,9 @@ def _grid_chunk(points, n: int, scratch: dict, unit: int) -> list[float]:
         clear *= k  # K (1 + s^2)^(3/4)
         g = np.subtract(hw, u, out=g)
         g -= clear
-        band = np.multiply(clear, band_rate, out=clear)
-        band += np.multiply(np.add(u, hw, out=u), _NEAR_ZERO, out=u)  # _NEAR_ZERO * (u + hw)
+        band = np.add(clear, u, out=clear)
+        band += hw
+        band *= _NEAR_ZERO  # _NEAR_ZERO * (clear + u + hw)
         np.copyto(g, 0.0, where=~(np.abs(g, out=u) > band))  # a NaN margin is undecided
         return g
 
@@ -257,43 +258,39 @@ def _grid_chunk(points, n: int, scratch: dict, unit: int) -> list[float]:
     with np.errstate(over="ignore"):
         c2 = np.square(2.0 * standoff / (k * 3.0))
         s_max = np.sqrt(c2 * (np.sqrt(c2 * c2 + 4.0) + c2) / 2.0)
-    row = np.floor(row_of(np.clip(tan, -s_max, s_max), x_so, bs_y, half_room, step))
+    s = np.clip(tan, -s_max, s_max)
+    row = np.floor(row_of(s, standoff * (s - tan), xs, half_room, step))
     # The rows either side of the maximiser; the better one is the column's best cell.
     pair = ws("rows", (2, len(points), n), np.intp)
     pair[0], pair[1] = np.clip(row, 0, n - 1), np.clip(row + 1.0, 0, n - 1)
-    seed = margin(pair, bs_y, h, offset, x_so, ratio, band_rate, k)
+    seed = margin(pair, bs_y, h, offset, x_so, ratio, shift, k)
     best = np.where(seed[1] > seed[0], pair[1], pair[0]).ravel()
     seed = np.maximum(seed[0], seed[1]).ravel()
 
     # Predict the column's two boundaries: Newton steps on the margin
-    # g(u) = h - sigma u - K (1 + s^2)^(3/4), s = (u - bs_y) / standoff, for sigma = -1
-    # (first cell) and +1 (last cell), from u = sigma h.  g < 0 outside the run and is
+    # g(v) = v - K (1 + s^2)^(3/4) in the gap v = h - sigma u that wall crossing u
+    # leaves to the window edge, s = tan(theta) + u / standoff, for sigma = -1
+    # (first cell) and +1 (last cell), from v = 0.  g < 0 outside the run and is
     # concave, so the iterates approach the root from outside.  The check judges the
-    # result, so overflow is silenced, and fmin/fmax map a non-finite one into range.
+    # result, so plain float32 serves: it rounds v to a share of the gap, not of h.
+    # Overflow is silenced, and fmin/fmax map a non-finite result into range.
     cols = np.flatnonzero(seed > 0)
     p = cols // n
-    x_so, ratio, band_rate, k, best = (np.take(a, cols) for a in (x_so, ratio, band_rate, k, best))
+    x_so, ratio, shift, k, best, x = (np.take(a, cols) for a in (x_so, ratio, shift, k, best, xs))
     # Per column; floats in a one-point chunk, which numpy applies faster.
-    hw, by, so, half, st, base = (
-        np.take(a, 0 if len(points) == 1 else p) for a in (h, bs_y, standoff, half_room, step, offset)
+    hw, by, so, tn, half, st, base = (
+        np.take(a, 0 if len(points) == 1 else p) for a in (h, bs_y, standoff, tan, half_room, step, offset)
     )
-    sigma = np.array([[-1.0], [1.0]])
-    u, s, q, r, step_u = (ws(name, (2, cols.size)) for name in ("n_u", "n_s", "n_q", "n_r", "n_step"))
-    u = np.multiply(sigma, hw, out=u)
-    k_3_2 = 1.5 * k
+    sigma, v = np.array([[-1.0], [1.0]], np.float32), np.float32(0.0)
     with np.errstate(all="ignore"):
+        hw32, so32, tn32, k32 = (np.float32(a) for a in (hw, so, tn, k))
         for _ in range(_NEWTON_STEPS):
-            s = np.divide(np.subtract(u, by, out=s), so, out=s)  # (u - by) / so
-            q = np.add(np.multiply(s, s, out=q), 1.0, out=q)  # 1 + s^2
-            r = np.sqrt(np.sqrt(q, out=r), out=r)  # q^(1/4), cheaper than a power
-            # u + (hw - sigma u - k q / r) / (sigma + 1.5 k s / (so r))
-            step_u = np.subtract(hw, np.multiply(sigma, u, out=step_u), out=step_u)
-            step_u -= np.divide(np.multiply(k, q, out=q), r, out=q)
-            s = np.divide(np.multiply(k_3_2, s, out=s), np.multiply(so, r, out=r), out=s)
-            s += sigma
-            step_u /= s
-            u += step_u
-        pos = row_of((u - by) / so, x_so, by, half, st)
+            s = tn32 + sigma * (hw32 - v) / so32
+            q = 1.0 + s * s
+            r = np.sqrt(np.sqrt(q))  # q^(1/4), cheaper than a power
+            v = v - (v - k32 * q / r) / (1.0 + sigma * 1.5 * k32 * s / (so32 * r))
+        u = sigma * (hw - v)
+        pos = row_of(tn + u / so, u, x, half, st)
     first = np.fmin(np.fmax(np.ceil(pos[0]), 0), best).astype(np.intp)
     last = np.fmax(np.fmin(np.floor(pos[1]), n - 1), best).astype(np.intp)
 
@@ -303,14 +300,14 @@ def _grid_chunk(points, n: int, scratch: dict, unit: int) -> list[float]:
     np.subtract(first, 1, out=j[0])
     j[1], j[2] = first, last
     np.add(last, 1, out=j[3])
-    g = margin(np.clip(j, 0, n - 1, out=j), by, hw, base, x_so, ratio, band_rate, k)
+    g = margin(np.clip(j, 0, n - 1, out=j), by, hw, base, x_so, ratio, shift, k)
     ok = ((first == 0) | (g[0] < 0)) & ((last == n - 1) | (g[3] < 0)) & (g[1] > 0) & (g[2] > 0)
     checked = np.bincount(p, np.where(ok, last - first + 1, 0), len(points))
     miss = ~ok
 
     # A column that fails the check is bisected with the predicate, which
     # is false, then true up to best, then false again.
-    p, x = p[miss], np.take(xs, cols[miss])
+    p, x = p[miss], x[miss]
     first, first_end = np.zeros_like(p), best[miss]
     last, last_end = best[miss], np.full_like(p, n - 1)
     while (first < first_end).any() or (last < last_end).any():

@@ -209,12 +209,12 @@ def dense_los_count(room_side: float, window_width: float, bs_distance: float,
     for i in range(0, n, block):
         x = xs[i:i + block, None]
         y = ys[None, :]
-        t = (0.0 - bx) / (x - bx)
-        y_cross = by + (y - by) * t
-        d1 = np.hypot(0.0 - bx, y_cross - by)
+        so = 0.0 - bx
+        t = so / (x + so)
+        y_cross = y * t + by * (x / (x + so))
         d2 = np.hypot(x, y - y_cross)
-        rd = np.sqrt(lam * d1 * d2 / (d1 + d2))
-        cos_norm = (x - bx) / np.hypot(x - bx, y - by)
+        rd = np.sqrt(lam * d2 * t)
+        cos_norm = x / d2
         clear_upper = (half_window - y_cross) * cos_norm
         clear_lower = (y_cross + half_window) * cos_norm
         threshold = 0.6 * rd

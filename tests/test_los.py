@@ -47,17 +47,17 @@ def boundary_frequency(sc, n, column, row_share):
     room, h = sc.room_side, sc.window_width / 2.0
     step, (bs_x, bs_y) = room / n, bs_position(sc)
     x = (column + 0.5) * step
-    t = (0.0 - bs_x) / (x - bs_x)
+    so = 0.0 - bs_x
+    t = so / (x + so)
     rows = [(bs_y + (edge - bs_y) / t + room / 2.0) / step - 0.5 for edge in (-h, h)]
     lo, hi = max(0, math.ceil(rows[0])), min(n - 1, math.floor(rows[1]))
     if lo > hi:
         return None
     y = -room / 2.0 + (lo + min(int(row_share * (hi - lo + 1)), hi - lo) + 0.5) * step
-    u = bs_y + (y - bs_y) * t
-    d1, d2 = math.hypot(0.0 - bs_x, u - bs_y), math.hypot(x, y - u)
-    cos_norm = (x - bs_x) / math.hypot(x - bs_x, y - bs_y)
-    r_d = (h - abs(u)) * cos_norm / LOS_CLEARANCE_RATIO
-    lam = r_d * r_d * (d1 + d2) / (d1 * d2)
+    u = y * t + bs_y * (x / (x + so))
+    d2 = math.hypot(x, y - u)
+    r_d = (h - abs(u)) * (x / d2) / LOS_CLEARANCE_RATIO
+    lam = r_d * r_d / (d2 * t)
     return SPEED_OF_LIGHT / lam if abs(u) < h and 0.0 < lam < math.inf else None
 
 
@@ -285,7 +285,7 @@ class TestPLosGrid:
         self, n, deg, log_f, log_room, log_window_share, log_dist, retune
     ):
         # Millimetre to 100 km rooms, standoffs of 1 mm to 1000 km and grazing
-        # aspects, where the predicate's path lengths lose the most digits.
+        # aspects, where the predicate and the smooth margin round the furthest apart.
         # retune moves the frequency below the critical one, or onto the
         # boundary of one cell, at shares of the columns and window rows.
         room, dist, theta = 10.0**log_room, 10.0**log_dist, math.radians(deg)
@@ -304,8 +304,8 @@ class TestPLosGrid:
         # One cell's margin is zero, then a few ulp either side: the smooth
         # margin must leave such cells to the predicate.  Half the scenes span
         # the wide ranges; half are 1-100 mm rooms seen from 10-1000 km, tuned
-        # next to the wall, where the predicate's path lengths lose the most
-        # digits to cancellation.
+        # next to the wall, where y - y_cross is small against y and the
+        # predicate's d2 rounds the most.
         rng = np.random.default_rng(15)
         scales = [1.0 + sign * d for d in (0.0, 1e-16, 2e-16, 1e-15) for sign in (1, -1)]
         # (log10 of room, window share and standoff: low, high), share of columns
@@ -323,6 +323,26 @@ class TestPLosGrid:
             for f in frequency * np.array(scales):
                 count = dense_los_count(room, sc.window_width, dist, sc.bs_angle, f, n)
                 assert p_los_grid(sc, f, GridSpec(n)) == count / n**2
+
+    def test_grid_does_not_drift_with_standoff(self):
+        # The wall crossing is a weighted mean of y and the base station's y, so it
+        # keeps y's digits at any standoff and the grid holds its far-field value.
+        for room, window, deg, frequency in ((20.0, 2.0, 10.0, F_28), (0.01, 0.0025, 30.0, 1e15)):
+            def grid_at(dist):
+                return p_los_grid(scene(room, window, dist, math.radians(deg)), frequency, GridSpec(200))
+
+            near = grid_at(1e6)
+            assert near > 0.0
+            assert [grid_at(10.0**k) for k in range(7, 301)] == [near] * 294, room
+
+    @pytest.mark.parametrize("dist", [1e39, 1e45])
+    def test_lit_grid_beyond_float32_range(self, dist):
+        # The standoff overflows float32 in the Newton predictor; the check still
+        # settles each column, and nothing warns.
+        for window in (19.0, 19.5, 20.0):
+            for theta in (0.0, 0.3):
+                got = p_los_grid(scene(window=window, dist=dist, angle=theta), F_28, GridSpec(50))
+                assert got == dense_los_count(20.0, window, dist, theta, F_28, 50) / 50**2 > 0.0
 
     def test_near_zero_column_counted_densely(self, monkeypatch):
         # Tune the frequency so that column 50 of 101 just reaches the
@@ -455,6 +475,18 @@ class TestPLosGrid:
         assert p_los_grids(points, GridSpec(n)) == expected
         assert calls == [1]  # the dense column is the only one the predicate sees
         assert expected[1] == dense_los_count(20.0, 2.0, 5.0, 0.0, frequencies[1], n) / n**2
+
+    def test_mixed_room_batch_needs_no_predicate(self, monkeypatch):
+        # Each column's depth is gathered from its own point's room: a batch of
+        # scenes that each settle without the predicate settles so together.
+        n, rooms = 100, (5.0, 10.0, 15.0, 20.0, 30.0, 40.0)
+        points = [(scene(room=room, angle=math.radians(deg)), LAM_28)
+                  for room, deg in zip(rooms, np.linspace(-30.0, 30.0, len(rooms)))]
+        calls = self.spy_on_clearances(monkeypatch)
+        alone = [p_los_grids([point], GridSpec(n))[0] for point in points]
+        assert calls == []
+        assert p_los_grids(points, GridSpec(n)) == alone
+        assert calls == []
 
     def test_mirror_symmetry(self):
         up = p_los_grid(scene(angle=0.4), F_28, GridSpec(400))

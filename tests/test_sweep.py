@@ -34,6 +34,8 @@ from o2i_los.sweep import (
     run_sweep,
 )
 
+from oracles import dense_los_count
+
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -185,13 +187,17 @@ class TestRunSweep:
 
     @pytest.mark.filterwarnings("error")
     def test_extreme_standoff_grid_warns_nothing(self):
-        # The seed slope's square overflows here; s_max = inf is the no-clamp limit.  At
-        # 100 MHz lam * standoff overflows too, and K must stay finite for the dark verdict.
-        for frequency in ("28e9", "1e8"):
-            text = ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_los_grid\n"
-                    f"oracle_n=10\nfrequency_hz={frequency}")
-            record = run_sweep(parse_config(text))
-            assert [row[1] for row in record.rows] == [0.0] * 4, frequency
+        # Near the float limit the seed slope's square and lam * standoff overflow, and off
+        # the normal the path to the base station is longer than the largest float; the
+        # wall crossing must still keep y, so each row is the predicate's count.
+        for deg in (0, 10, 60):
+            for frequency in (28e9, 1e8):
+                text = ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_los_grid\n"
+                        f"oracle_n=10\ntheta_deg={deg}\nfrequency_hz={frequency!r}")
+                record = run_sweep(parse_config(text))
+                theta = math.radians(deg)
+                expected = [dense_los_count(20.0, 2.0, d, theta, frequency, 10) / 100 for d, _ in record.rows]
+                assert [row[1] for row in record.rows] == expected, (deg, frequency)
 
     def test_knife_edge_transition(self):
         text = (
