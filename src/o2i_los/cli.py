@@ -56,11 +56,14 @@ def _cmd_critical_freq(args: argparse.Namespace) -> int:
 
 
 def _cmd_los_point(args: argparse.Namespace) -> int:
+    import numpy as np
+
     scene = _scene(vars(args))
     # The wall plane x = 0 is outside: no path crosses the window to it.
     if not (0.0 < args.ms_x <= scene.room_side and abs(args.ms_y) <= scene.room_side / 2):
         raise ValueError("MS outside room")
-    c = clearances(scene, args.ms_x, args.ms_y, wavelength(args.frequency_hz))
+    with np.errstate(over="raise", invalid="raise"):  # a field past the float range exits 3
+        c = clearances(scene, args.ms_x, args.ms_y, wavelength(args.frequency_hz))
     text = (f"los={'true' if c.los else 'false'}\nd1={c.d1}\nd2={c.d2}\ncrossing_y={c.crossing_y}\n"
             f"r_d={c.r_d}\nclearance_threshold={LOS_CLEARANCE_RATIO * c.r_d}\n"
             f"clearance_lower={c.lower}\nclearance_upper={c.upper}\n")
@@ -106,7 +109,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

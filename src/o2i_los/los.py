@@ -13,8 +13,8 @@ K (1 + s^2)^(3/4) of the path slope s, convex in y, so the margin is concave
 and a column's LoS cells form one run.  The predicate forms u as a weighted
 mean of the receiver's and the base station's y, so no term loses digits to
 cancellation at any standoff.  p_los_grids decides cells by the margin
-outside a rounding band about zero, and takes the predicate only for the
-columns it cannot settle.
+outside a rounding band of one part in 1e9 of h, and takes the predicate
+only for the columns it cannot settle.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ LOS_CLEARANCE_RATIO = 0.6
 # wall at atan((L/2)/L); independent of the room size for a square room.
 CORNER_RAY_ANGLE = math.atan(0.5)
 
-# The smooth margin decides a grid cell only outside a band about zero,
-# _NEAR_ZERO of the sum of its terms' sizes; the predicate's terms lose no
-# digits to cancellation, so that covers the rounding of both forms.
+# The smooth margin g = h - |u| - clear decides a grid cell where |g| > _NEAR_ZERO h.
+# g shares the predicate's wall crossing u bit for bit, so the two differ by rounding
+# of order eps (h + |u| + clear): about 1e-15 h while |u| + clear <= 3h, and beyond
+# that g < -(2/3)(|u| + clear) reads dark in both, as does g = -inf; NaN is undecided.
 _NEAR_ZERO = 1e-9
 
 # Newton steps that predict each grid column's two LoS boundaries.
@@ -180,12 +181,12 @@ def p_los_grids(points, grid: GridSpec) -> list[float]:
     column's best cell of the two next to its closed-form maximiser, and
     _NEWTON_STEPS float32 Newton steps predict the run's first and last
     cell; the smooth margin at those and their outer neighbours checks them.
-    Its band covers the rounding of both forms, and the predicate takes the
-    rest: a lit column whose check fails is bisected from its best cell, and
-    a column whose best margin lies in the band is counted cell by cell.
-    The counts equal the predicate's on every cell.  The chunks of one call
-    share one scratch dict, made for this call alone: the margin and the
-    check's rows write in place into its buffers, and the rest is plain numpy.
+    Its band, _NEAR_ZERO of the half window, covers the rounding of both
+    forms, and the predicate takes the rest: a lit column whose check fails is
+    bisected from its best cell, a column whose best margin lies in the band
+    is counted cell by cell, and every count equals the predicate's.  The
+    chunks of one call share one scratch dict, made for this call alone: the
+    margin and the check's rows write in place, and the rest is plain numpy.
     """
     if not all(0 < wavelength_m < math.inf for _, wavelength_m in points):
         raise ValueError("wavelength must be positive and finite")
@@ -243,10 +244,7 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
         clear *= k  # K (1 + s^2)^(3/4)
         g = np.subtract(hw, u, out=g)
         g -= clear
-        band = np.add(clear, u, out=clear)
-        band += hw
-        band *= _NEAR_ZERO  # _NEAR_ZERO * (clear + u + hw)
-        np.copyto(g, 0.0, where=~(np.abs(g, out=u) > band))  # a NaN margin is undecided
+        np.copyto(g, 0.0, where=~(np.abs(g, out=u) > hw * _NEAR_ZERO))  # |g| > _NEAR_ZERO h; NaN is undecided
         return g
 
     # Path slope s maximising the margin: the window-centre slope tan(theta)

@@ -37,8 +37,8 @@ def scene(room=20.0, window=2.0, dist=5.0, angle=0.0):
                          bs_distance=dist, bs_angle=angle)
 
 
-def boundary_frequency(sc, n, column, row_share):
-    """Frequency at which one cell of the n x n grid has zero margin.
+def boundary_frequency(sc, n, column, row_share, margin=0.0):
+    """Frequency at which one cell of the n x n grid has the given margin, zero by default.
 
     The cell lies in the given column, at row_share of the span of rows whose
     wall crossing falls inside the window; the margin is the predicate's, in
@@ -56,7 +56,7 @@ def boundary_frequency(sc, n, column, row_share):
     y = -room / 2.0 + (lo + min(int(row_share * (hi - lo + 1)), hi - lo) + 0.5) * step
     u = y * t + bs_y * (x / (x + so))
     d2 = math.hypot(x, y - u)
-    r_d = (h - abs(u)) * (x / d2) / LOS_CLEARANCE_RATIO
+    r_d = (h - abs(u) - margin) * (x / d2) / LOS_CLEARANCE_RATIO
     lam = r_d * r_d / (d2 * t)
     return SPEED_OF_LIGHT / lam if abs(u) < h and 0.0 < lam < math.inf else None
 
@@ -364,6 +364,16 @@ class TestPLosGrid:
         got = p_los_grid(scene(), frequency, GridSpec(n))
         assert dense_columns == [depth]
         assert got == dense_los_count(20.0, 2.0, 5.0, 0.0, frequency, n) / n**2
+
+    def test_margin_just_outside_band_needs_no_predicate(self, monkeypatch):
+        # Column 30's best cell, row 50 of 100, has margin 1.5e-9 h: outside the
+        # band of 1e-9 h, so the smooth margin settles the whole grid.
+        sc, n = scene(), 100
+        frequency = boundary_frequency(sc, n, 30, 0.5, margin=1.5e-9 * sc.window_width / 2.0)
+        calls = self.spy_on_clearances(monkeypatch)
+        got = p_los_grid(sc, frequency, GridSpec(n))
+        assert calls == []
+        assert got == dense_los_count(20.0, 2.0, 5.0, 0.0, frequency, n) / n**2 == 0.0114
 
     @staticmethod
     def spy_on_clearances(monkeypatch):

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -720,6 +721,17 @@ class TestCli:
             assert main(["los-point", "--ms-x", "20", "--ms-y", "0",
                          "--frequency-hz", frequency]) == 3
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_los_point_overflowing_d1_exit_3(self, action, capsys):
+        # d1 from a 1e308 m standoff at 60 deg passes the float range, whether
+        # numpy's RuntimeWarnings raise or are ignored.
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["los-point", "--bs-distance-m", "1e308", "--theta-deg", "60",
+                         "--ms-x", "1", "--ms-y", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: overflow encountered in hypot\n"
 
     def test_analytic_routes_do_not_load_numpy(self, tmp_path):
         # numpy is imported only by the grid and Monte Carlo oracles
