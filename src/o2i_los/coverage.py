@@ -132,10 +132,10 @@ def _reg_gamma(m: float, x: float) -> tuple[float, float]:
         raise ValueError("require m > 0 and x >= 0")
     if x == 0.0:
         return 0.0, 1.0
-    series = x < m + 1.0
-    total = _gamma_p_series(m, x) if series else _gamma_q_continued_fraction(m, x)
-    exponent = -x + m * math.log(x) - math.lgamma(m)
-    part = total * math.exp(exponent) if exponent > -745.0 else 0.0
+    series, exponent = x < m + 1.0, -x + m * math.log(x) - math.lgamma(m)
+    # Where exp(exponent) underflows the part is 0, and the sum need not converge there.
+    kernel = _gamma_p_series if series else _gamma_q_continued_fraction
+    part = kernel(m, x) * math.exp(exponent) if exponent > -745.0 else 0.0
     return (part, 1.0 - part) if series else (1.0 - part, part)
 
 

@@ -9,6 +9,7 @@ in front of the wall at x < 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 @dataclass(frozen=True)
@@ -27,6 +28,9 @@ class SceneGeometry:
     bs_angle: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # numpy scalars and ints are held as the floats they round to
+            if type(value) is not float and isinstance(value, numbers.Real):
+                object.__setattr__(self, name, float(value))
         if not 0 < self.room_side < math.inf:
             raise ValueError("room_side must be positive and finite")
         if not 0 < self.window_width < math.inf:

@@ -198,18 +198,17 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     import numpy as np
 
     # Per-point values as (P, 1) columns against the (P, n) grid; np.take reads
-    # both flat, where grid column c is point c // n's.  Only the margin and the
-    # check's rows write in place, into the buffers of scratch, in the order of
-    # the expression each comment gives, so every value is rounded as that
-    # expression rounds it; the rest is plain numpy.
+    # per-column values flat, grid column c being point c // n's.  Only the margin
+    # and the check's rows write in place, into scratch, in the order of the
+    # expression each comment gives, so every value rounds as that expression does.
     bs_x, bs_y, h, lam, room, tan = np.array([
         (*bs_position(sc), sc.window_width / 2.0, wavelength_m, sc.room_side, math.tan(sc.bs_angle))
         for sc, wavelength_m in points
     ]).T.copy()[:, :, None]
     step, standoff, half_room = room / n, 0.0 - bs_x, room / 2.0
-    offset = np.arange(len(points))[:, None] * n  # flat index of each point's row 0
-    xs = (np.arange(n) + 0.5) * step  # cell centres
-    ys = xs - half_room
+    # Cell centres.  margin and at form row j's y as (j + 0.5) * step - half_room, the
+    # bits of xs - half_room, so the margin shares the predicate's wall crossing bit for bit.
+    xs = (np.arange(n) + 0.5) * step
     x_so = xs + standoff
     ratio = standoff / x_so
     shift = bs_y * (xs / x_so)  # the crossing is y * ratio + shift, as _clearances forms it
@@ -225,15 +224,15 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
         return scratch[name][:size].reshape(shape)
 
     def at(p, x, j):  # the predicate's verdict for points p at depth x and row index j
-        bx, by, hw, wl, base = (np.take(a, p) for a in (bs_x, bs_y, h, lam, offset))
-        return _clearances(bx, by, hw, x, np.take(ys, base + j), wl).los
+        bx, by, hw, wl, st, half = (np.take(a, p) for a in (bs_x, bs_y, h, lam, step, half_room))
+        return _clearances(bx, by, hw, x, (j + 0.5) * st - half, wl).los
 
     def row_of(s, u, x, half, st):  # the float row where a path of slope s through wall point u reaches depth x
         return (u + s * x + half) / st - 0.5
 
-    def margin(j, by, hw, base, x_so, ratio, shift, k):  # the smooth margin where it decides the verdict, else 0
-        index = np.add(base, j, out=ws("m_index", j.shape, np.intp))
-        y = np.take(ys, index, out=ws("m_y", j.shape), mode="clip")
+    def margin(j, by, hw, st, half, x_so, ratio, shift, k):  # the smooth margin where it decides the verdict, else 0
+        y = np.add(j, 0.5, out=ws("m_y", j.shape))
+        y = np.subtract(np.multiply(y, st, out=y), half, out=y)  # (j + 0.5) * st - half
         u = np.multiply(y, ratio, out=ws("m_u", j.shape))
         u = np.abs(np.add(u, shift, out=u), out=u)  # |y * ratio + shift|
         rise = np.subtract(y, by, out=y)
@@ -261,7 +260,7 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     # The rows either side of the maximiser; the better one is the column's best cell.
     pair = ws("rows", (2, len(points), n), np.intp)
     pair[0], pair[1] = np.clip(row, 0, n - 1), np.clip(row + 1.0, 0, n - 1)
-    seed = margin(pair, bs_y, h, offset, x_so, ratio, shift, k)
+    seed = margin(pair, bs_y, h, step, half_room, x_so, ratio, shift, k)
     best = np.where(seed[1] > seed[0], pair[1], pair[0]).ravel()
     seed = np.maximum(seed[0], seed[1]).ravel()
 
@@ -276,8 +275,8 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     p = cols // n
     x_so, ratio, shift, k, best, x = (np.take(a, cols) for a in (x_so, ratio, shift, k, best, xs))
     # Per column; floats in a one-point chunk, which numpy applies faster.
-    hw, by, so, tn, half, st, base = (
-        np.take(a, 0 if len(points) == 1 else p) for a in (h, bs_y, standoff, tan, half_room, step, offset)
+    hw, by, so, tn, half, st = (
+        np.take(a, 0 if len(points) == 1 else p) for a in (h, bs_y, standoff, tan, half_room, step)
     )
     sigma, v = np.array([[-1.0], [1.0]], np.float32), np.float32(0.0)
     with np.errstate(all="ignore"):
@@ -298,25 +297,21 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     np.subtract(first, 1, out=j[0])
     j[1], j[2] = first, last
     np.add(last, 1, out=j[3])
-    g = margin(np.clip(j, 0, n - 1, out=j), by, hw, base, x_so, ratio, shift, k)
+    g = margin(np.clip(j, 0, n - 1, out=j), by, hw, st, half, x_so, ratio, shift, k)
     ok = ((first == 0) | (g[0] < 0)) & ((last == n - 1) | (g[3] < 0)) & (g[1] > 0) & (g[2] > 0)
     checked = np.bincount(p, np.where(ok, last - first + 1, 0), len(points))
     miss = ~ok
 
-    # A column that fails the check is bisected with the predicate, which
-    # is false, then true up to best, then false again.
+    # A failed column is bisected with the predicate, false, then true up to best,
+    # then false: row 0 seeks the first lit cell in [0, best], row 1 the first dark
+    # cell in [best + 1, n].  Every probe lies in the room, also in a finished row.
     p, x = p[miss], x[miss]
-    first, first_end = np.zeros_like(p), best[miss]
-    last, last_end = best[miss], np.full_like(p, n - 1)
-    while (first < first_end).any() or (last < last_end).any():
-        mid_first = (first + first_end) // 2
-        mid_last = (last + last_end + 1) // 2
-        hit = at(p, x, np.stack([mid_first, mid_last]))
-        first_end = np.where(hit[0], mid_first, first_end)
-        first = np.where(hit[0], first, mid_first + 1)
-        last = np.where(hit[1], mid_last, last)
-        last_end = np.where(hit[1], last_end, mid_last - 1)
-    count = checked + np.bincount(p, last - first + 1, len(points))
+    lo, hi = np.stack([np.zeros_like(p), best[miss] + 1]), np.stack([best[miss], np.full_like(p, n)])
+    while (lo < hi).any():
+        mid = (lo + hi - [[0], [1]]) // 2  # row 1 rounds down from hi - 1, a cell in the room
+        found = at(p, x, mid) != [[False], [True]]
+        lo, hi = np.where(found, lo, mid + 1), np.where(found, mid, hi)
+    count = checked + np.bincount(p, lo[1] - lo[0], len(points))
 
     # A column whose best margin lies in the band is counted cell by cell, 2^20 cells a pass.
     dense, block = np.flatnonzero(seed == 0), max(1, 2**20 // n)

@@ -138,6 +138,11 @@ class TestRegularizedGamma:
             with pytest.raises(ValueError, match=f"{route} did not converge"):
                 reg_upper_gamma(m, x)
 
+    def test_underflowing_exponent_returns_limit(self):
+        # exp(-x + m log x) underflows, and the continued fraction would not converge
+        assert reg_upper_gamma(1.0, 1e30) == 0.0
+        assert reg_lower_gamma(1.0, 1e30) == 1.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             reg_lower_gamma(0.0, 1.0)

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from o2i_los.diffraction import wavelength
 from o2i_los.geometry import SceneGeometry, bs_position
-from o2i_los.los import clearances
+from o2i_los.los import clearances, critical_frequency, p_los_closed
 
 from oracles import edge_clearance
 
@@ -28,10 +29,26 @@ class TestSceneGeometry:
         dict(room=math.inf), dict(room=math.nan), dict(window=math.nan),
         dict(dist=math.inf), dict(dist=math.nan), dict(angle=math.nan),
         dict(dist=1e308, angle=math.radians(89)),  # base station at y = -inf
+        dict(dist=np.float64(1e308), angle=1.5),  # no numpy overflow warning either
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             scene(**kwargs)
+
+    def test_non_numeric_field_rejected(self):
+        with pytest.raises(TypeError):
+            scene(room="20")
+
+    @pytest.mark.parametrize("kind, room", [
+        (np.float64, 20), (np.float64, 10**200), (np.float32, 20), (int, 20), (int, 10**200),
+    ], ids=["float64", "float64-1e200-room", "float32", "int", "int-1e200-room"])
+    def test_numeric_types_give_float_results(self, kind, room):
+        # fields are held as floats, so numpy scalars and ints compute as floats do
+        sc, reference = (scene(k(room), k(2), k(5), k(0)) for k in (kind, float))
+        assert all(type(value) is float for value in vars(sc).values())
+        for frequency in (1e8, 28e9):
+            assert repr(p_los_closed(sc, frequency)) == repr(p_los_closed(reference, frequency))
+        assert repr(critical_frequency(sc)) == repr(critical_frequency(reference))
 
 
 class TestBsPosition:

@@ -255,17 +255,21 @@ class TestPLosGrid:
         window_share=st.floats(0.01, 1.0),
         dist=st.floats(0.5, 100.0),
         below_critical=st.one_of(st.none(), st.floats(0.2, 1.0)),
+        newton_steps=st.sampled_from([0, 1, 3]),
     )
     def test_count_equals_dense_reference(
-        self, n, deg, log_f, room, window_share, dist, below_critical
+        self, n, deg, log_f, room, window_share, dist, below_critical, newton_steps
     ):
+        # Fewer Newton steps send more columns to the bisection.
         window = room * window_share
         frequency = 10.0**log_f
         sc = scene(room=room, window=window, dist=dist, angle=math.radians(deg))
         if below_critical is not None:
             frequency = below_critical * critical_frequency(sc)
         count = dense_los_count(room, window, dist, math.radians(deg), frequency, n)
-        assert p_los_grid(sc, frequency, GridSpec(n)) == count / n**2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(los, "_NEWTON_STEPS", newton_steps)
+            assert p_los_grid(sc, frequency, GridSpec(n)) == count / n**2
 
     @settings(max_examples=300, deadline=None)
     @given(

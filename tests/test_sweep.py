@@ -637,6 +637,17 @@ class TestCli:
         assert main(["sweep", "--config", cfg]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_underflowing_coverage_exit_0(self, tmp_path, capsys):
+        # a 200 dB threshold puts Q's exp term below the float range (x = 2.4e17 at
+        # 9 m), where the continued fraction cannot meet its tolerance: Q is 0
+        cfg = self.write(tmp_path, "sweep=bs_distance_m\nstart=1\nstop=30\nstep=1\n"
+                                   "outputs=p_cov\nsnr_threshold_db=200\n")
+        assert main(["sweep", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        rows = [row for row in captured.out.splitlines() if not row.startswith("#")][1:]
+        assert [row.split(",")[1] for row in rows] == ["0.0"] * 30
+        assert captured.err == ""
+
     def test_fresnel_non_convergence_exit_3(self, tmp_path, capsys, monkeypatch):
         # |v| = 2.8 takes the continued fraction, which needs more than 5 iterations
         monkeypatch.setattr(diffraction, "_MAX_ITER", 5)
