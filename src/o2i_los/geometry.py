@@ -30,7 +30,11 @@ class SceneGeometry:
     def __post_init__(self):
         for name, value in vars(self).items():  # numpy scalars and ints are held as the floats they round to
             if type(value) is not float and isinstance(value, numbers.Real):
-                object.__setattr__(self, name, float(value))
+                try:
+                    value = float(value)
+                except OverflowError:  # an int past the float range: the field's own check names it
+                    value = math.inf if value > 0 else -math.inf
+                object.__setattr__(self, name, value)
         if not 0 < self.room_side < math.inf:
             raise ValueError("room_side must be positive and finite")
         if not 0 < self.window_width < math.inf:

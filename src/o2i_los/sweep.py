@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from operator import length_hint
 from typing import TextIO
 
 from .coverage import FadingModel, LinkBudget, coverage_probability
@@ -97,7 +96,10 @@ class SweepSpec:
         # Checked before values() builds the list; also rejects an infinite count.
         if not (self.stop - self.start) / self.step + 1e-9 < MAX_POINTS:
             raise ConfigError(f"sweep has more than {MAX_POINTS} points")
-        if "p_los_grid" in self.outputs and len(self.values()) * self.oracle_n > MAX_GRID_COLUMNS:
+        values = self.values()  # never decreasing, so a repeat is two equal neighbours
+        if any(a == b for a, b in zip(values, values[1:])):
+            raise ConfigError("sweep points repeat: step is below the float spacing of the range")
+        if "p_los_grid" in self.outputs and len(values) * self.oracle_n > MAX_GRID_COLUMNS:
             raise ConfigError(f"grid oracle over more than {MAX_GRID_COLUMNS} columns")
 
     def values(self) -> list[float]:
@@ -270,28 +272,22 @@ def run_sweep(spec: SweepSpec) -> RunRecord:
     """Evaluate every output at every point; a failing or non-finite one raises ValueError."""
     values = spec.values()
     points = [{**spec.fixed, spec.swept: value} for value in values]
-    inputs, errors = {}, {}  # each build's inputs up to the point where it fails, and that failure
+    inputs = {}  # each input at every point, built on first read and shared by the outputs
 
     def column(evaluate, *builds):  # evaluate(v, *inputs) at each point; a failure names its value
-        for build in [b for b in builds if b not in inputs]:
-            inputs[build] = made = []
-            try:
-                if spec.swept in _INPUTS[build]:
-                    for v in points:
-                        made.append(build(v))
-                else:
-                    made += [build(spec.fixed)] * len(points)
-            except (ValueError, ArithmeticError) as err:
-                errors[build] = err
-        cols, unread = [inputs[b] for b in builds], iter(points)
         try:
-            out = list(map(evaluate, unread, *cols))
-            if len(out) < len(points):  # an input failed here: the first that evaluate reads raises
-                raise next(errors[b] for b, col in zip(builds, cols) if len(col) == len(out))
-        except (ValueError, ArithmeticError) as err:
-            failed = len(points) - length_hint(unread) - 1  # map draws a point before its inputs
-            raise ValueError(f"at {spec.swept}={values[failed]!r}: {err}") from err
-        return out
+            for build in builds:
+                if build not in inputs:
+                    each = spec.swept in _INPUTS[build]
+                    inputs[build] = [build(v) for v in points] if each else [build(spec.fixed)] * len(points)
+            return list(map(evaluate, points, *(inputs[b] for b in builds)))
+        except (ValueError, ArithmeticError):
+            for value, v in zip(values, points):  # the first point that fails, inputs in order
+                try:
+                    evaluate(v, *(build(v) for build in builds))
+                except (ValueError, ArithmeticError) as err:
+                    raise ValueError(f"at {spec.swept}={value!r}: {err}") from err
+            raise
 
     columns = [OUTPUTS[name][0](column, spec) for name in spec.outputs]
     if not all(all(map(math.isfinite, col)) for col in columns):

@@ -30,6 +30,8 @@ class TestSceneGeometry:
         dict(dist=math.inf), dict(dist=math.nan), dict(angle=math.nan),
         dict(dist=1e308, angle=math.radians(89)),  # base station at y = -inf
         dict(dist=np.float64(1e308), angle=1.5),  # no numpy overflow warning either
+        # ints past the float range are held as infinities
+        dict(room=10**400), dict(window=10**400), dict(dist=10**400), dict(angle=-10**400),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -48,6 +48,9 @@ def render(record) -> str:
     return buffer.getvalue()
 
 
+REPEATING = "sweep=frequency_hz\nstart=1e9\nstop=1000000000.0000005\nstep=1e-8\noutputs=p_los_closed\n"
+
+
 class TestParseConfig:
     def test_defaults_filled(self):
         spec = parse_config("sweep=theta_deg\nstart=-80\nstop=80\nstep=1\nfrequency_hz=28e9")
@@ -162,6 +165,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"more than {MAX_GRID_COLUMNS} columns"):
             parse_config(base + f"stop={points}\noutputs=p_los_closed,p_los_grid")
         assert parse_config(base + f"stop={points}\noutputs=p_los_closed")
+
+    def test_repeating_points_rejected(self):
+        # Floats near 1e9 lie 1.2e-7 apart, so 48 steps of 1e-8 round onto 5 values.
+        with pytest.raises(ConfigError, match="sweep points repeat"):
+            parse_config(REPEATING)
 
     def test_bad_assignment_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -337,6 +345,41 @@ class TestRunSweep:
             spec = SweepSpec("window_m", start, start + 4.0, 2.0, fixed, ("p_cov",))
             with pytest.raises(ValueError, match=message):
                 run_sweep(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene_at=st.none() | st.integers(0, 4), closed_at=st.none() | st.integers(0, 4))
+    def test_earliest_failure_named_input_first(self, scene_at, closed_at):
+        # The scene fails at one drawn point or nowhere, and so does the closed form. The
+        # earliest failing point is named; at a tie the scene, read first, names it. Under a
+        # frequency sweep the scene is built once, so a failing scene fails at the first point.
+        for swept, start, step in [("room_m", 10.0, 1.0), ("frequency_hz", 1e9, 1e9)]:
+            spec = parse_config(f"sweep={swept}\nstart={start}\nstop={start + 4 * step}\nstep={step}")
+            values = spec.values()
+            per_point = swept == "room_m"
+
+            def scene(room, *args):
+                if scene_at is not None and (not per_point or room == values[scene_at]):
+                    raise ValueError("scene stub")
+                return SceneGeometry(room, *args)
+
+            def closed(s, f):
+                if closed_at is not None and (s.room_side if per_point else f) == values[closed_at]:
+                    raise ValueError("closed stub")
+                return 0.5
+
+            scene_first = scene_at if per_point or scene_at is None else 0
+            failures = [(at, message) for at, message in [(scene_first, "scene stub"), (closed_at, "closed stub")]
+                        if at is not None]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sweep, "SceneGeometry", scene)
+                patch.setattr(sweep, "p_los_closed", closed)
+                if not failures:
+                    assert [p for _, p in run_sweep(spec).rows] == [0.5] * 5
+                    continue
+                at, message = min(failures, key=lambda failure: failure[0])
+                with pytest.raises(ValueError) as info:
+                    run_sweep(spec)
+                assert str(info.value) == f"at {swept}={values[at]!r}: {message}"
 
     def test_knife_edge_loss_once_per_distinct_v(self, monkeypatch):
         # v = sqrt(2) delta / r_d does not read the frequency, so a frequency sweep at a
@@ -515,6 +558,7 @@ class TestCli:
             ("windoww_m=2\n", "unknown key 'windoww_m'"),
             ("sweep=theta_deg\nstart=0\nstop=10\nstep=5\noutputs=p_los_grid,p_los_grid\n",
              "duplicate output 'p_los_grid'"),
+            (REPEATING, "sweep points repeat"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 2
             assert message in capsys.readouterr().err
