@@ -42,8 +42,7 @@ class LinkBudget:
     snr_threshold_db: float = -5.0
 
     def __post_init__(self):
-        if not 0 < self.frequency < math.inf:
-            raise ValueError("frequency must be positive and finite")
+        wavelength(self.frequency)  # the frequency's own check
         if not -math.inf < self.noise_dbm < self.tx_power_dbm < math.inf:
             raise ValueError("noise floor must be below transmit power, both finite")
         if not -math.inf < self.snr_threshold_db < math.inf:

@@ -159,20 +159,13 @@ def _path_loss_db(column, spec) -> list[float]:
     return column(loss)
 
 
-def _window_in_room(v: dict[str, float]) -> float:
-    if v["window_m"] > v["room_m"]:  # SceneGeometry's check, for p_cov, which builds no scene
-        raise ValueError("window exceeds room")
-    return v["window_m"]
-
-
-def _p_cov(v: dict[str, float], window: float, fading, budget) -> float:
-    return coverage_probability(v["bs_distance_m"], v["ms_distance_m"], window, fading, budget).p_cov
+def _p_cov(v: dict[str, float], scene, fading, budget) -> float:
+    return coverage_probability(scene.bs_distance, v["ms_distance_m"], scene.window_width, fading, budget).p_cov
 
 
 # Inputs the outputs share, and the sweepable keys each is built from: one per point if
 # the swept key is among them, else one per sweep.
-_INPUTS = {_scene_from: _SCENE_KEYS, _window_in_room: ("window_m", "room_m"),
-           _fading_from: (), _budget_from: ("frequency_hz",)}
+_INPUTS = {_scene_from: _SCENE_KEYS, _fading_from: (), _budget_from: ("frequency_hz",)}
 
 
 _LINK_KEYS = (
@@ -196,7 +189,7 @@ OUTPUTS = {
     "p_los_optical": (lambda column, spec: column(lambda v, s: p_los_optical(s), _scene_from),
                       ("room_m", "window_m", "bs_distance_m")),
     "path_loss_db": (_path_loss_db, ("frequency_hz", "d1_m", "d2_m", "delta_over_rd")),
-    "p_cov": (lambda column, spec: column(_p_cov, _window_in_room, _fading_from, _budget_from), _LINK_KEYS),
+    "p_cov": (lambda column, spec: column(_p_cov, _scene_from, _fading_from, _budget_from), _LINK_KEYS),
     "critical_frequency_hz": (lambda column, spec: column(lambda v, s: critical_frequency(s), _scene_from),
                               ("window_m", "bs_distance_m", "room_m")),
 }

@@ -59,6 +59,7 @@ class TestConfigTypes:
         dict(tx_power_dbm=math.nan), dict(noise_dbm=-math.inf),
         dict(noise_dbm=math.nan), dict(snr_threshold_db=math.nan),
         dict(snr_threshold_db=math.inf), dict(snr_threshold_db=-math.inf),
+        dict(frequency=1e-300),  # its wavelength overflows
     ])
     def test_nonfinite_budget_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -503,9 +503,11 @@ class TestPLosGrid:
         assert calls == []
 
     def test_mirror_symmetry(self):
-        up = p_los_grid(scene(angle=0.4), F_28, GridSpec(400))
-        down = p_los_grid(scene(angle=-0.4), F_28, GridSpec(400))
-        assert up == pytest.approx(down, abs=0.005)
+        # To one cell: cell centres are not exact mirror images in floating point.
+        n = 400
+        up = p_los_grid(scene(angle=0.4), F_28, GridSpec(n))
+        down = p_los_grid(scene(angle=-0.4), F_28, GridSpec(n))
+        assert abs(round(up * n * n) - round(down * n * n)) <= 1
 
     def test_bad_wavelength_rejected(self):
         for wavelength_m in (-1.0, 0.0, math.nan, math.inf):

@@ -319,7 +319,10 @@ class TestRunSweep:
          {"SceneGeometry": 1, "FadingModel": 1, "LinkBudget": 10}),
         ("sweep=delta_over_rd\nstart=-1\nstop=1\nstep=0.5\noutputs=path_loss_db",
          {"SceneGeometry": 0, "FadingModel": 0, "LinkBudget": 0}),
-    ], ids=["standoff", "frequency", "clearance"])
+        # p_cov takes its standoff and window from the point's scene
+        ("sweep=bs_distance_m\nstart=1\nstop=10\nstep=1\noutputs=p_cov",
+         {"SceneGeometry": 10, "FadingModel": 1, "LinkBudget": 1}),
+    ], ids=["standoff", "frequency", "clearance", "coverage_standoff"])
     def test_inputs_built_once(self, text, built, monkeypatch):
         spec = parse_config(text)
         counts = dict.fromkeys(built, 0)
@@ -337,7 +340,7 @@ class TestRunSweep:
 
     def test_failed_input_raises_at_first_point_that_reads_it(self):
         # A fading model that cannot be built fails p_cov at the first point whose window
-        # fits the room; before that point the window check fails first.
+        # fits the room; before that point the scene, p_cov's first input, fails first.
         fixed = {**sweep._NUMERIC_DEFAULTS, "m_los": 0.1}
         del fixed["window_m"]
         for start, message in [(16.0, "at window_m=16.0: Nakagami shape"),
@@ -565,7 +568,7 @@ class TestCli:
 
     def test_invariant_violation_exit_2(self, tmp_path, capsys):
         # The fixed scene is checked at parse time, whatever the outputs,
-        # unless room_m or window_m is swept.
+        # unless room_m or window_m is swept; so is the fixed link budget.
         for text, message in [
             ("window_m=25\nroom_m=20\n", "window exceeds room"),
             ("sweep=bs_distance_m\nstart=2\nstop=4\nstep=1\nwindow_m=30\noutputs=p_cov\n",
@@ -574,6 +577,11 @@ class TestCli:
              "window_width must be positive and finite"),
             ("sweep=theta_deg\nstart=0\nstop=10\nstep=5\nwindow_m=-1\noutputs=p_los_closed\n",
              "window_width must be positive and finite"),
+            # a frequency whose wavelength overflows
+            ("sweep=bs_distance_m\nstart=2\nstop=4\nstep=1\nfrequency_hz=1e-300\noutputs=critical_frequency_hz\n",
+             "wavelength is not finite at frequency 1e-300 Hz"),
+            ("sweep=bs_distance_m\nstart=2\nstop=4\nstep=1\nfrequency_hz=1e-300\noutputs=p_cov\n",
+             "wavelength is not finite at frequency 1e-300 Hz"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 2
             assert message in capsys.readouterr().err
@@ -621,9 +629,14 @@ class TestCli:
             # windows beyond the 20 m room, rejected like every other scene output
             ("sweep=window_m\nstart=18\nstop=24\nstep=2\noutputs=critical_frequency_hz\n",
              "window_m=22.0: window exceeds room"),
-            # p_cov reads no room_m, yet its window must fit the room too
+            # p_cov takes its window from the point's scene, which must fit the room
             ("sweep=window_m\nstart=18\nstop=24\nstep=2\noutputs=p_cov\n",
              "window_m=22.0: window exceeds room"),
+            ("sweep=bs_distance_m\nstart=-2\nstop=4\nstep=1\noutputs=p_cov\n",
+             "bs_distance_m=-2.0: bs_distance must be positive and finite"),
+            # parse_config skips the fixed scene when window_m is swept, but p_cov builds it
+            ("sweep=window_m\nstart=1\nstop=3\nstep=1\ntheta_deg=90\noutputs=p_cov\n",
+             "error: at window_m=1.0: bs_angle must lie strictly inside (-90, 90) degrees\n"),
             # d**exponent overflows in mean_snr
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_cov\n",
              "bs_distance_m=1e+306"),
@@ -636,7 +649,8 @@ class TestCli:
              "bs_distance_m=3.0999999999999997e+307: Fresnel radius is not finite"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
-            assert message in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
 
     def test_overflowing_room_area_exit_0(self, tmp_path, capsys):
         # the room area L^2 overflows in p_los_closed; its share of the room does not
