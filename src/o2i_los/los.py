@@ -93,9 +93,8 @@ def p_los_closed(scene: SceneGeometry, frequency: float) -> float:
     phi = aperture / (2.0 * scene.bs_distance)
     if phi <= 0.0:
         return 0.0
-    try:
-        area = scene.room_side**2
-    except OverflowError:  # L^2 overflows, the share does not: divide each length by L
+    area = scene.room_side * scene.room_side  # x * x is correctly rounded, x**2 (pow) is not
+    if area == math.inf:  # L^2 overflows, the share does not: divide each length by L
         return min(phi * (d2 / scene.room_side) * ((d2 + 2.0 * d1) / scene.room_side), 1.0)
     return min(phi * d2 * (d2 + 2.0 * d1) / area, 1.0)
 
@@ -116,10 +115,10 @@ def critical_frequency(scene: SceneGeometry) -> float:
     Solves for the wavelength at which the required edge clearance exactly
     consumes the window aperture.  bs_angle is not read.
     """
-    ratio = 2.0 * LOS_CLEARANCE_RATIO
-    critical_wavelength = (scene.window_width / ratio) ** 2 * (
-        1.0 / scene.bs_distance + 1.0 / scene.room_side
-    )
+    w = scene.window_width / (2.0 * LOS_CLEARANCE_RATIO)
+    critical_wavelength = w * w * (1.0 / scene.bs_distance + 1.0 / scene.room_side)
+    if critical_wavelength == math.inf:  # c / lambda_c need not overflow: c d / (w^2 (1 + d / L))
+        return SPEED_OF_LIGHT / w * scene.bs_distance / (w * (1.0 + scene.bs_distance / scene.room_side))
     return SPEED_OF_LIGHT / critical_wavelength
 
 
@@ -249,10 +248,10 @@ def _grid_chunk(points, n: int, scratch: dict) -> list[float]:
     # Path slope s maximising the margin: the window-centre slope tan(theta)
     # unless the Fresnel term's slope there exceeds the unit slope of |u|,
     # in which case s = +-s_max solves 3k/(2 standoff) s (1+s^2)^(-1/4) = 1.
-    # An overflow there gives s_max = inf, the no-clamp limit, so it is silenced.
+    # An overflow there, or a K that underflows to 0, gives s_max = inf, the no-clamp limit.
     # K takes ratio, as lam * standoff overflows near the float limit, and stays finite.
     k = np.sqrt(lam * xs * ratio) * LOS_CLEARANCE_RATIO
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         c2 = np.square(2.0 * standoff / (k * 3.0))
         s_max = np.sqrt(c2 * (np.sqrt(c2 * c2 + 4.0) + c2) / 2.0)
     s = np.clip(tan, -s_max, s_max)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own evaluation routes:
 Fresnel integrals come from adaptive quadrature of the defining integrals
 (or scipy.special where quadrature cannot reach, or mpmath at 60 digits in the
 far shadow), the regularized incomplete gamma from mpmath at 30 digits, visibility areas
-from polygon clipping, and the ring LoS fraction and the grid LoS count
-from brute-force evaluation of the per-point predicate.
+from polygon clipping, the ring LoS fraction and the grid LoS count
+from brute-force evaluation of the per-point predicate, and the Monte Carlo
+coverage count from numpy's plain gamma sampler.
 """
 
 from __future__ import annotations
@@ -97,6 +98,26 @@ def reg_upper_gamma_mp(m: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     return float(mpmath.gammainc(m, x, mpmath.inf, regularized=True))
+
+
+def mc_reference(p_los: float, m_los: float, snr_los: float, m_nlos: float,
+                 snr_nlos: float, threshold: float, trials: int, seed: int) -> float:
+    """Monte Carlo coverage estimate drawn in chunks of 2^16 trials from default_rng(seed).
+
+    Each chunk draws its LoS count from Binomial(n, p_los), then that many
+    Gamma(m_los, 1/m_los) gains and the rest as Gamma(m_nlos, 1/m_nlos) gains
+    with rng.gamma, and counts each group's gain * snr above the threshold.
+    """
+    rng = np.random.default_rng(seed)
+    covered = 0
+    for start in range(0, trials, 1 << 16):
+        n = min(1 << 16, trials - start)
+        n_los = int(rng.binomial(n, p_los))
+        gain_los = rng.gamma(m_los, 1.0 / m_los, n_los)
+        gain_nlos = rng.gamma(m_nlos, 1.0 / m_nlos, n - n_los)
+        covered += int(np.count_nonzero(gain_los * snr_los > threshold))
+        covered += int(np.count_nonzero(gain_nlos * snr_nlos > threshold))
+    return covered / trials
 
 
 def _clip_halfplane(polygon, a, b, c):

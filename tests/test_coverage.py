@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from o2i_los.coverage import (
 )
 from o2i_los.diffraction import SPEED_OF_LIGHT
 
-from oracles import reg_lower_gamma_mp, reg_upper_gamma_mp, segment_los_fraction
+from oracles import mc_reference, reg_lower_gamma_mp, reg_upper_gamma_mp, segment_los_fraction
 
 F_28 = 28e9
 
@@ -308,6 +309,33 @@ class TestCoverageMcOracle:
         trials = 100_000
         estimate = coverage_mc_oracle(d_a, 20.0, window, fading, b, trials, 2024)
         assert abs(estimate - expected) <= 4 * math.sqrt(expected * (1 - expected) / trials)
+
+    # Each pair of shapes meets every scene over its four trial counts: LoS share 1 and 0
+    # (the scenes of test_single_state_matches_mpmath_ccdf) and one between.
+    @pytest.mark.parametrize("case, m_los, m_nlos, trials", [
+        (k, *shapes_trials) for k, shapes_trials in enumerate(itertools.product(
+            [0.5, 1.0, 10.0], [0.5, 1.0, 10.0], [10_000, 65_536, 65_537, 131_073]))
+    ])
+    def test_bits_match_gamma_sampler(self, case, m_los, m_nlos, trials):
+        d_a, window, frequency = [(2.0, 3.0, F_28), (5.0, 1.0, 1e9), (5.0, 2.0, F_28)][case % 3]
+        seed = [0, 2024, 2**62 + 12345][case // 3 % 3]
+        # One mean SNR for both states, 0.5 dB over the threshold, so every gain draw counts.
+        fading = FadingModel(m_los=m_los, m_nlos=m_nlos, n_los=2.0, n_nlos=2.0)
+        snr = mean_snr(d_a + 20.0, 2.0, budget(frequency))
+        b = budget(frequency, threshold=snr_db(snr) - 0.5)
+        p_los = p_los_at_distance(d_a, 20.0, window, frequency)
+        threshold = 10.0 ** (b.snr_threshold_db / 10.0)
+        expected = mc_reference(p_los, m_los, snr, m_nlos, snr, threshold, trials, seed)
+        assert 0.0 < expected < 1.0
+        assert coverage_mc_oracle(d_a, 20.0, window, fading, b, trials, seed) == expected
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+    def test_unit_shape_gamma_is_standard_exponential(self, seed):
+        # The coverage oracle draws Gamma(1, 1) gains as standard exponentials; a numpy whose
+        # gamma sampler stops returning its exponential draw at shape 1 fails here first.
+        gamma_rng, exp_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(gamma_rng.gamma(1.0, 1.0, 100_003), exp_rng.standard_exponential(100_003))
+        assert gamma_rng.random() == exp_rng.random()
 
     def test_gamma_gain_unit_mean(self):
         rng = np.random.default_rng(0)

@@ -3,9 +3,8 @@
 Scaling every length and the wavelength by 2^k is exact in binary floating
 point, so every LoS share, loss and grid count keeps its bits, and the
 critical frequency scales by exactly 2^-k.  p_los_closed and
-critical_frequency square a length through float pow, which glibc does not
-round correctly, so for them the law fails on about one draw in 2,000 to
-5,000; two scenes where it fails are kept as expected failures.  Mirroring
+critical_frequency square a length as x * x, which is correctly rounded;
+float pow is not, and the two scenes where it broke the law are kept.  Mirroring
 the aspect angle is exact for the closed forms and holds to one cell for the
 grid, whose cell centres are not exact mirror images.  A wider window or a
 higher frequency never loses LoS: every floating-point operation on the
@@ -15,7 +14,6 @@ scenes span the ranges of TestPLosGrid.test_count_equals_dense_reference.
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from o2i_los.coverage import p_los_at_distance
@@ -50,6 +48,8 @@ def grid_counts(points, n):
 def test_scale_law(draw, n, k, d_n, delta_over_rd):
     (sc, f), (big, big_f) = build(*draw), build(*draw, scale=k)
     assert p_los_optical(big) == p_los_optical(sc)
+    assert p_los_closed(big, big_f) == p_los_closed(sc, f)
+    assert critical_frequency(big) == math.ldexp(critical_frequency(sc), -k)
     big_d_n = math.ldexp(d_n, k)
     assert (p_los_at_distance(big.bs_distance, big_d_n, big.window_width, big_f)
             == p_los_at_distance(sc.bs_distance, d_n, sc.window_width, f))
@@ -61,18 +61,16 @@ def test_scale_law(draw, n, k, d_n, delta_over_rd):
     assert grid_counts([(big, big_f)], n) == grid_counts([(sc, f)], n)
 
 
-@pytest.mark.xfail(reason="room_side**2 is float pow, which glibc does not round correctly")
-def test_scale_law_closed_form_through_pow():
+def test_scale_law_closed_form_where_pow_failed():
     draw = (-70.70577526588929, 8.836716541460508, 98.75460272120232, 0.783334727230859, 94.94567655472376, None)
     (sc, f), (big, big_f) = build(*draw), build(*draw, scale=51)
-    assert p_los_closed(big, big_f) == p_los_closed(sc, f)  # 0.11872418724243118 against ...115
+    assert p_los_closed(big, big_f) == p_los_closed(sc, f)  # float pow read ...118 against ...115
 
 
-@pytest.mark.xfail(reason="(window / 1.2)**2 is float pow, which glibc does not round correctly")
-def test_scale_law_critical_frequency_through_pow():
+def test_scale_law_critical_frequency_where_pow_failed():
     draw = (0.0, 8.0, 44.91609137339843, 0.9224484517827466, 1.0, None)
     (sc, _), (big, _) = build(*draw), build(*draw, scale=1)
-    assert critical_frequency(big) == math.ldexp(critical_frequency(sc), -1)  # ...148 against ...145
+    assert critical_frequency(big) == math.ldexp(critical_frequency(sc), -1)  # float pow read ...148 against ...145
 
 
 @settings(max_examples=60, deadline=None)

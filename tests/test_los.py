@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,18 @@ class TestCriticalFrequency:
 
     def test_far_bs_limit(self):
         assert critical_frequency(scene(dist=1e12)) == pytest.approx(2.159e9, rel=1e-3)
+
+    @pytest.mark.parametrize("room, window, dist", [
+        (1.2e160, 1.2e160, 1e100),  # the window's square overflows
+        (1.2e150, 1.2e150, 1e-10),  # the square is finite, the wavelength is not
+        (20.0, 2.0, 1e-310),  # 1 / d overflows
+    ])
+    def test_overflowing_wavelength_keeps_its_frequency(self, room, window, dist):
+        # The critical wavelength passes the float limit, c over it does not.
+        w = Fraction(window) / Fraction(2.0 * LOS_CLEARANCE_RATIO)
+        exact = Fraction(SPEED_OF_LIGHT) / (w * w * (1 / Fraction(dist) + 1 / Fraction(room)))
+        fc = critical_frequency(scene(room=room, window=window, dist=dist))
+        assert fc == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
     def test_boundary_behaviour(self):
         fc = critical_frequency(scene())
@@ -347,6 +360,13 @@ class TestPLosGrid:
             for theta in (0.0, 0.3):
                 got = p_los_grid(scene(window=window, dist=dist, angle=theta), F_28, GridSpec(50))
                 assert got == dense_los_count(20.0, window, dist, theta, F_28, 50) / 50**2 > 0.0
+
+    def test_underflowing_clearance_scale_needs_no_clamp(self):
+        # A 1e-300 m standoff before a 1e100 m room: K underflows to 0, so the seed
+        # slope is not clamped, and no divide-by-zero warning escapes.
+        points = [(scene(1e100, 2.0, 1e-300, math.radians(deg)), LAM_28) for deg in (-20.0, 0.0)]
+        expected = [dense_los_count(1e100, 2.0, 1e-300, sc.bs_angle, F_28, 40) / 40**2 for sc, _ in points]
+        assert p_los_grids(points, GridSpec(40)) == expected == [1.0, 1.0]
 
     def test_near_zero_column_counted_densely(self, monkeypatch):
         # Tune the frequency so that column 50 of 101 just reaches the
