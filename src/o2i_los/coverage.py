@@ -95,21 +95,17 @@ def _gamma_p_series(m: float, x: float) -> float:
 
 
 def _gamma_q_continued_fraction(m: float, x: float) -> float:
-    tiny = 1e-300
     b = x + 1.0 - m
-    c = 1.0 / tiny
+    c = math.inf
     d = 1.0 / b
     h = d
     for i in range(1, 800):
         an = -i * (i - m)
         b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        # No zero guards: for x >= m + 1, c and 1 / d stay at least i + 1 + x - m at step i,
+        # since an >= 0 for i <= m, and an / c and an * d are at least -(i - m) for i > m.
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-17:

@@ -121,9 +121,7 @@ def ked_excess_loss_db(v: float) -> float:
     the path, so it is evaluated at the negated argument.  6.02 dB at
     grazing incidence, 0 dB at full clearance.
     """
-    if not math.isfinite(v):
-        raise ValueError("invalid diffraction parameter")
-    if -v > _SERIES_CUTOFF:
+    if _SERIES_CUTOFF < -v < math.inf:  # fresnel_integrals rejects a non-finite v
         # In the shadow 1 - C - S cancels; |F| = |(0.5 - C) + j(0.5 - S)| / sqrt(2).
         magnitude = abs(_fresnel_continued_fraction(-v)) / math.sqrt(2.0)
     else:

@@ -35,12 +35,8 @@ class SceneGeometry:
                 except OverflowError:  # an int past the float range: the field's own check names it
                     value = math.inf if value > 0 else -math.inf
                 object.__setattr__(self, name, value)
-        if not 0 < self.room_side < math.inf:
-            raise ValueError("room_side must be positive and finite")
-        if not 0 < self.window_width < math.inf:
-            raise ValueError("window_width must be positive and finite")
-        if not 0 < self.bs_distance < math.inf:
-            raise ValueError("bs_distance must be positive and finite")
+            if name != "bs_angle" and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.window_width > self.room_side:
             raise ValueError("window exceeds room")
         if not abs(self.bs_angle) < math.pi / 2:

@@ -6,7 +6,9 @@ Fresnel integrals come from adaptive quadrature of the defining integrals
 far shadow), the regularized incomplete gamma from mpmath at 30 digits, visibility areas
 from polygon clipping, the ring LoS fraction and the grid LoS count
 from brute-force evaluation of the per-point predicate, and the Monte Carlo
-coverage count from numpy's plain gamma sampler.
+coverage count from numpy's plain gamma sampler.  gamma_q_cf_guarded is the
+one exception: the package's earlier continued fraction, kept to pin the bits
+of the unguarded one.
 """
 
 from __future__ import annotations
@@ -98,6 +100,39 @@ def reg_upper_gamma_mp(m: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     return float(mpmath.gammainc(m, x, mpmath.inf, regularized=True))
+
+
+def gamma_q_cf_guarded(m: float, x: float) -> float:
+    """Continued fraction for Q(m, x) / (x^m e^-x / Gamma(m)), x >= m + 1.
+
+    The modified Lentz loop with its zero guards on c and d (Thompson and
+    Barnett, J. Comput. Phys. 64, 1986), as the package evaluated it before
+    the guards, which cannot fire there, were dropped.
+    """
+    tiny = 1e-300
+    b = x + 1.0 - m
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 800):
+        an = -i * (i - m)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-17:
+            break
+    else:
+        raise ValueError(
+            f"incomplete gamma continued fraction did not converge at m={m!r}, x={x!r}"
+        )
+    return h
 
 
 def mc_reference(p_los: float, m_los: float, snr_los: float, m_nlos: float,

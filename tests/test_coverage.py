@@ -9,6 +9,7 @@ from o2i_los.coverage import (
     CoverageResult,
     FadingModel,
     LinkBudget,
+    _gamma_q_continued_fraction,
     coverage_mc_oracle,
     coverage_probability,
     mean_snr,
@@ -19,7 +20,13 @@ from o2i_los.coverage import (
 )
 from o2i_los.diffraction import SPEED_OF_LIGHT
 
-from oracles import mc_reference, reg_lower_gamma_mp, reg_upper_gamma_mp, segment_los_fraction
+from oracles import (
+    gamma_q_cf_guarded,
+    mc_reference,
+    reg_lower_gamma_mp,
+    reg_upper_gamma_mp,
+    segment_los_fraction,
+)
 
 F_28 = 28e9
 
@@ -122,6 +129,14 @@ class TestPLosAtDistance:
             p_los_at_distance(d_a, d_n, l_w, F_28)
 
 
+def outcome(f, *args):
+    """f(*args) as its float, or as the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestRegularizedGamma:
     def test_against_mpmath_grid(self):
         for m in [0.5, 1.0, 2.5, 10.0, 20.0]:
@@ -139,6 +154,20 @@ class TestRegularizedGamma:
         for m, x, route in [(1e5, 1e5, "series"), (1e6, 1e6 + 2, "continued fraction")]:
             with pytest.raises(ValueError, match=f"{route} did not converge"):
                 reg_upper_gamma(m, x)
+
+    @given(st.floats(math.log(0.5), math.log(1e4)), st.floats(0.0, 40.0))
+    def test_continued_fraction_matches_guarded_lentz(self, log_m, t):
+        # the zero guards on c and d cannot fire for x >= m + 1: every value and error keeps its bits
+        m = math.exp(log_m)
+        x = (m + 1.0) * math.exp(t)
+        assert outcome(_gamma_q_continued_fraction, m, x) == outcome(gamma_q_cf_guarded, m, x)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("offset", [1.0, 1.5, 4.0, 30.0, 1e3, 1e12])
+    def test_continued_fraction_matches_guarded_lentz_at_integer_m(self, m, offset):
+        # a_i = -i (i - m) is 0 at i = m, where the next c and d equal b exactly
+        x = m + offset
+        assert outcome(_gamma_q_continued_fraction, m, x) == outcome(gamma_q_cf_guarded, m, x)
 
     def test_underflowing_exponent_returns_limit(self):
         # exp(-x + m log x) underflows, and the continued fraction would not converge

@@ -18,24 +18,46 @@ def scene(room=20.0, window=2.0, dist=5.0, angle=0.0):
                          bs_distance=dist, bs_angle=angle)
 
 
+ANGLE = "bs_angle must lie strictly inside (-90, 90) degrees"
+# (SceneGeometry fields, the ValueError message); the ids keep each case's name kwargs<i>
+INVALID_FIELDS = [
+    (dict(room=-1.0), "room_side must be positive and finite"),
+    (dict(window=0.0), "window_width must be positive and finite"),
+    (dict(dist=0.0), "bs_distance must be positive and finite"),
+    (dict(angle=math.pi / 2), ANGLE),
+    (dict(angle=-2.0), ANGLE),
+    (dict(room=math.inf), "room_side must be positive and finite"),
+    (dict(room=math.nan), "room_side must be positive and finite"),
+    (dict(window=math.nan), "window_width must be positive and finite"),
+    (dict(dist=math.inf), "bs_distance must be positive and finite"),
+    (dict(dist=math.nan), "bs_distance must be positive and finite"),
+    (dict(angle=math.nan), ANGLE),
+    # base station at y = -inf
+    (dict(dist=1e308, angle=math.radians(89)), "base-station position must be finite"),
+    # no numpy overflow warning either
+    (dict(dist=np.float64(1e308), angle=1.5), "base-station position must be finite"),
+    # ints past the float range are held as infinities
+    (dict(room=10**400), "room_side must be positive and finite"),
+    (dict(window=10**400), "window_width must be positive and finite"),
+    (dict(dist=10**400), "bs_distance must be positive and finite"),
+    (dict(angle=-10**400), ANGLE),
+    # the first bad field in declaration order is named
+    (dict(room=-1.0, window=0.0), "room_side must be positive and finite"),
+    (dict(window=math.nan, dist=-1.0), "window_width must be positive and finite"),
+]
+
+
 class TestSceneGeometry:
     def test_window_larger_than_room_rejected(self):
         with pytest.raises(ValueError, match="window exceeds room"):
             scene(room=20.0, window=25.0)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(room=-1.0), dict(window=0.0), dict(dist=0.0),
-        dict(angle=math.pi / 2), dict(angle=-2.0),
-        dict(room=math.inf), dict(room=math.nan), dict(window=math.nan),
-        dict(dist=math.inf), dict(dist=math.nan), dict(angle=math.nan),
-        dict(dist=1e308, angle=math.radians(89)),  # base station at y = -inf
-        dict(dist=np.float64(1e308), angle=1.5),  # no numpy overflow warning either
-        # ints past the float range are held as infinities
-        dict(room=10**400), dict(window=10**400), dict(dist=10**400), dict(angle=-10**400),
-    ])
-    def test_invalid_fields_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kwargs, message", INVALID_FIELDS,
+                             ids=[f"kwargs{i}" for i in range(len(INVALID_FIELDS))])
+    def test_invalid_fields_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
             scene(**kwargs)
+        assert str(raised.value) == message
 
     def test_non_numeric_field_rejected(self):
         with pytest.raises(TypeError):
