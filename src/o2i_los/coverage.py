@@ -76,6 +76,9 @@ def p_los_at_distance(d_a: float, d_n: float, window_width: float, frequency: fl
     aperture = window_width - 2.0 * LOS_CLEARANCE_RATIO * rd
     if aperture <= 0.0:
         return 0.0
+    if not (2.0**-300 < d_a < 2.0**300 and 2.0**-300 < d_n < 2.0**300):  # the rule of diffraction.fresnel_radius
+        a = (math.frexp(d_a)[1] + math.frexp(d_n)[1]) // 2  # lengths in units of 2^a, the binade of sqrt(d_a d_n)
+        d_a, d_n, aperture = math.ldexp(d_a, -a), math.ldexp(d_n, -a), math.ldexp(aperture, -a)
     return min((d_a + d_n) * aperture / (d_a * d_n), 1.0)
 
 
@@ -120,14 +123,14 @@ def _gamma_q_continued_fraction(m: float, x: float) -> float:
 def _reg_gamma(m: float, x: float) -> tuple[float, float]:
     """Regularized incomplete gammas (P(m, x), Q(m, x)), P + Q = 1.
 
-    Power series for P when x < m + 1, continued fraction for Q beyond;
-    the other one is 1 minus it.
+    Power series for P when x < m + 1 or x <= m (m + 1.0 rounds to m past 2^53),
+    continued fraction for Q beyond; the other one is 1 minus it.
     """
     if not m > 0 or x < 0:
         raise ValueError("require m > 0 and x >= 0")
     if x == 0.0:
         return 0.0, 1.0
-    series, exponent = x < m + 1.0, -x + m * math.log(x) - math.lgamma(m)
+    series, exponent = x <= m or x < m + 1.0, -x + m * math.log(x) - math.lgamma(m)
     # Where exp(exponent) underflows the part is 0, and the sum need not converge there.
     kernel = _gamma_p_series if series else _gamma_q_continued_fraction
     part = kernel(m, x) * math.exp(exponent) if exponent > -745.0 else 0.0

@@ -110,6 +110,11 @@ def diffraction_parameter(delta: float, d1: float, d2: float, wavelength: float)
     """
     if not (d1 > 0 and d2 > 0 and wavelength > 0):
         raise ValueError("invalid geometry")
+    if not (2.0**-300 < d1 < 2.0**300 and 2.0**-300 < d2 < 2.0**300 and 2.0**-300 < wavelength < 2.0**300):
+        a = (math.frexp(d1)[1] + math.frexp(d2)[1]) // 2  # the units of fresnel_radius; delta's are r_d's, 2^s
+        s = (a + math.frexp(wavelength)[1]) // 2
+        d1, d2, delta = math.ldexp(d1, -a), math.ldexp(d2, -a), math.ldexp(delta, -s)
+        wavelength = math.ldexp(wavelength, a - 2 * s)
     return delta * math.sqrt(2.0 / wavelength * (1.0 / d1 + 1.0 / d2))
 
 
@@ -139,12 +144,15 @@ def free_space_path_loss_db(d: float, wavelength: float) -> float:
 
 def fresnel_radius(d1: float, d2: float, wavelength: float) -> float:
     """First Fresnel zone radius at the plane splitting the path into d1, d2."""
-    if not (d1 > 0 and d2 > 0 and wavelength > 0):
-        raise ValueError("d1, d2 and wavelength must be positive")
-    rd = math.sqrt(wavelength * (d1 * d2) / (d1 + d2))
-    if not math.isfinite(rd):
-        raise ValueError("Fresnel radius is not finite")
-    return rd
+    # Float-range rule: inputs in (2^-300, 2^300) (any product of three is normal) take the direct formula.
+    if 2.0**-300 < d1 < 2.0**300 and 2.0**-300 < d2 < 2.0**300 and 2.0**-300 < wavelength < 2.0**300:
+        return math.sqrt(wavelength * (d1 * d2) / (d1 + d2))
+    if not (0 < d1 < math.inf and 0 < d2 < math.inf and 0 < wavelength < math.inf):
+        raise ValueError("d1, d2 and wavelength must be positive and finite")
+    a = (math.frexp(d1)[1] + math.frexp(d2)[1]) // 2  # others in exact units: d1, d2 of 2^a, sqrt(d1 d2)'s binade,
+    s = (a + math.frexp(wavelength)[1]) // 2  # the wavelength of 2^(2s - a), near its own, so r_d is of 2^s
+    d1, d2, wavelength = math.ldexp(d1, -a), math.ldexp(d2, -a), math.ldexp(wavelength, a - 2 * s)
+    return math.ldexp(math.sqrt(wavelength * (d1 * d2) / (d1 + d2)), s)
 
 
 def total_path_loss_db(d1: float, d2: float, delta: float, wavelength: float) -> float:

@@ -81,22 +81,23 @@ def p_los_closed(scene: SceneGeometry, frequency: float) -> float:
     beyond it.  Below the critical frequency phi <= 0 and no wedge exists.
     """
     lam = wavelength(frequency)
-    theta = scene.bs_angle
+    theta, room, window, standoff = scene.bs_angle, scene.room_side, scene.window_width, scene.bs_distance
     cos_t = math.cos(theta)
-    d1 = scene.bs_distance / cos_t
+    e = 0  # lengths in units of 2^e, e even, by fresnel_radius's rule: near L, d1 < 2^1022, the standoff >= 2^-1074
+    if not (2.0**-300 < window <= room < 2.0**300 and 2.0**-300 < standoff < 2.0**300):
+        e = max(math.frexp(room)[1], math.frexp(standoff)[1] - math.frexp(cos_t)[1] - 1022) & ~1
+        room, window, standoff = math.ldexp(room, -e), math.ldexp(window, -e), max(math.ldexp(standoff, -e), 5e-324)
+    d1 = standoff / cos_t
     if abs(theta) < CORNER_RAY_ANGLE:
-        d2 = scene.room_side / cos_t
+        d2 = room / cos_t
     else:
-        d2 = scene.room_side / (2.0 * abs(math.sin(theta)))
-    rd = fresnel_radius(d1, d2, lam)
-    aperture = scene.window_width * cos_t * cos_t - 2.0 * LOS_CLEARANCE_RATIO * rd * cos_t
-    phi = aperture / (2.0 * scene.bs_distance)
+        d2 = room / (2.0 * abs(math.sin(theta)))
+    rd = math.ldexp(fresnel_radius(d1, d2, lam), -e // 2)  # r_d^2 is the wavelength times a length
+    aperture = window * cos_t * cos_t - 2.0 * LOS_CLEARANCE_RATIO * rd * cos_t
+    phi = aperture / (2.0 * standoff)
     if phi <= 0.0:
         return 0.0
-    area = scene.room_side * scene.room_side  # x * x is correctly rounded, x**2 (pow) is not
-    if area == math.inf:  # L^2 overflows, the share does not: divide each length by L
-        return min(phi * (d2 / scene.room_side) * ((d2 + 2.0 * d1) / scene.room_side), 1.0)
-    return min(phi * d2 * (d2 + 2.0 * d1) / area, 1.0)
+    return min(phi * d2 * (d2 + 2.0 * d1) / (room * room), 1.0)  # x * x is correctly rounded, x**2 (pow) is not
 
 
 def p_los_optical(scene: SceneGeometry) -> float:
@@ -115,11 +116,11 @@ def critical_frequency(scene: SceneGeometry) -> float:
     Solves for the wavelength at which the required edge clearance exactly
     consumes the window aperture.  bs_angle is not read.
     """
-    w = scene.window_width / (2.0 * LOS_CLEARANCE_RATIO)
-    critical_wavelength = w * w * (1.0 / scene.bs_distance + 1.0 / scene.room_side)
-    if critical_wavelength == math.inf:  # c / lambda_c need not overflow: c d / (w^2 (1 + d / L))
-        return SPEED_OF_LIGHT / w * scene.bs_distance / (w * (1.0 + scene.bs_distance / scene.room_side))
-    return SPEED_OF_LIGHT / critical_wavelength
+    w, d, room = scene.window_width / (2.0 * LOS_CLEARANCE_RATIO), scene.bs_distance, scene.room_side
+    if 2.0**-300 < w and room < 2.0**300 and 2.0**-300 < d < 2.0**300:  # fresnel_radius's rule; w < room
+        return SPEED_OF_LIGHT / (w * w * (1.0 / d + 1.0 / room))
+    (w, a), b = math.frexp(w), (math.frexp(d)[1] + math.frexp(room)[1]) // 2  # w in units of 2^a, d and L of 2^b
+    return math.ldexp(SPEED_OF_LIGHT / (w * w * (1.0 / math.ldexp(d, -b) + 1.0 / math.ldexp(room, -b))), b - 2 * a)
 
 
 class Clearances(NamedTuple):

@@ -6,9 +6,10 @@ Fresnel integrals come from adaptive quadrature of the defining integrals
 far shadow), the regularized incomplete gamma from mpmath at 30 digits, visibility areas
 from polygon clipping, the ring LoS fraction and the grid LoS count
 from brute-force evaluation of the per-point predicate, and the Monte Carlo
-coverage count from numpy's plain gamma sampler.  gamma_q_cf_guarded is the
-one exception: the package's earlier continued fraction, kept to pin the bits
-of the unguarded one.
+coverage count from numpy's plain gamma sampler.  gamma_q_cf_guarded and the
+*_direct closed forms are the exceptions: the package's earlier continued
+fraction and its closed forms as they were before the power-of-two rescale,
+kept to pin the bits of the current ones where both apply.
 """
 
 from __future__ import annotations
@@ -133,6 +134,49 @@ def gamma_q_cf_guarded(m: float, x: float) -> float:
             f"incomplete gamma continued fraction did not converge at m={m!r}, x={x!r}"
         )
     return h
+
+
+# The closed forms in meters, each formula as the package evaluated it before it took
+# inputs outside (2^-300, 2^300) in units of a power of two.
+
+def fresnel_radius_direct(d1: float, d2: float, wavelength: float) -> float:
+    """First Fresnel zone radius sqrt(lambda d1 d2 / (d1 + d2))."""
+    return math.sqrt(wavelength * (d1 * d2) / (d1 + d2))
+
+
+def diffraction_parameter_direct(delta: float, d1: float, d2: float, wavelength: float) -> float:
+    """Knife-edge parameter delta sqrt(2 / lambda (1 / d1 + 1 / d2))."""
+    return delta * math.sqrt(2.0 / wavelength * (1.0 / d1 + 1.0 / d2))
+
+
+def p_los_closed_direct(room: float, window: float, standoff: float, theta: float,
+                        wavelength: float) -> float:
+    """The wedge share phi d2 (d2 + 2 d1) / L^2, clamped to [0, 1]."""
+    cos_t = math.cos(theta)
+    d1 = standoff / cos_t
+    if abs(theta) < math.atan(0.5):
+        d2 = room / cos_t
+    else:
+        d2 = room / (2.0 * abs(math.sin(theta)))
+    rd = fresnel_radius_direct(d1, d2, wavelength)
+    phi = (window * cos_t * cos_t - 2.0 * 0.6 * rd * cos_t) / (2.0 * standoff)
+    if phi <= 0.0:
+        return 0.0
+    return min(phi * d2 * (d2 + 2.0 * d1) / (room * room), 1.0)
+
+
+def critical_frequency_direct(room: float, window: float, standoff: float) -> float:
+    """c over the critical wavelength w^2 (1 / d + 1 / L), w = window / 1.2."""
+    w = window / (2.0 * 0.6)
+    return 299792458.0 / (w * w * (1.0 / standoff + 1.0 / room))
+
+
+def p_los_at_distance_direct(d_a: float, d_n: float, window: float, wavelength: float) -> float:
+    """The ring's LoS share (d_a + d_n) aperture / (d_a d_n), clamped to [0, 1]."""
+    aperture = window - 2.0 * 0.6 * fresnel_radius_direct(d_a, d_n, wavelength)
+    if aperture <= 0.0:
+        return 0.0
+    return min((d_a + d_n) * aperture / (d_a * d_n), 1.0)
 
 
 def mc_reference(p_los: float, m_los: float, snr_los: float, m_nlos: float,

@@ -23,6 +23,7 @@ from o2i_los.diffraction import SPEED_OF_LIGHT
 from oracles import (
     gamma_q_cf_guarded,
     mc_reference,
+    p_los_at_distance_direct,
     reg_lower_gamma_mp,
     reg_upper_gamma_mp,
     segment_los_fraction,
@@ -123,6 +124,18 @@ class TestPLosAtDistance:
     def test_clamped(self):
         assert p_los_at_distance(2.0, 20.0, 5.0, F_28) == 1.0
 
+    @given(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0), st.floats(-3.0, 4.0), st.floats(6.0, 12.0))
+    def test_plain_range_keeps_direct_bits(self, log_d_a, log_d_n, log_w, log_f):
+        # inside (2^-300, 2^300) the route is the direct formula, with no rescale
+        d_a, d_n, l_w, frequency = (10.0**x for x in (log_d_a, log_d_n, log_w, log_f))
+        assert (p_los_at_distance(d_a, d_n, l_w, frequency)
+                == p_los_at_distance_direct(d_a, d_n, l_w, SPEED_OF_LIGHT / frequency))
+
+    def test_paper_scene_matches_its_2_to_the_minus_700_twin(self):
+        # d_a * d_n underflows to 0 in the direct formula: ZeroDivisionError before the rescale
+        tiny = [math.ldexp(x, -700) for x in (5.0, 20.0, 2.0)]
+        assert p_los_at_distance(*tiny, math.ldexp(F_28, 700)) == p_los_at_distance(5.0, 20.0, 2.0, F_28)
+
     @pytest.mark.parametrize("d_a,d_n,l_w", [(0.0, 20.0, 2.0), (5.0, -1.0, 2.0), (5.0, 20.0, 0.0)])
     def test_nonpositive_length_rejected(self, d_a, d_n, l_w):
         with pytest.raises(ValueError, match="must be positive"):
@@ -168,6 +181,14 @@ class TestRegularizedGamma:
         # a_i = -i (i - m) is 0 at i = m, where the next c and d equal b exactly
         x = m + offset
         assert outcome(_gamma_q_continued_fraction, m, x) == outcome(gamma_q_cf_guarded, m, x)
+
+    @pytest.mark.parametrize("m", [2.0**53, 1e16, 1e20])
+    def test_x_equal_to_huge_m_takes_the_series(self, m):
+        # m + 1.0 rounds to m here, so x < m + 1 alone sent x = m to the continued fraction,
+        # whose b = x + 1 - m is 0: ZeroDivisionError in place of the documented error
+        for f in (reg_upper_gamma, reg_lower_gamma):
+            with pytest.raises(ValueError, match="incomplete gamma series did not converge"):
+                f(m, m)
 
     def test_underflowing_exponent_returns_limit(self):
         # exp(-x + m log x) underflows, and the continued fraction would not converge

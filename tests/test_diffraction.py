@@ -20,13 +20,18 @@ from o2i_los.diffraction import (
 from scipy.special import fresnel
 
 from oracles import (
+    diffraction_parameter_direct,
     fresnel_by_quadrature,
     fresnel_grid_by_quadrature,
+    fresnel_radius_direct,
     itu_j_db,
     ked_loss_by_mpmath,
     ked_loss_by_quadrature,
     ked_loss_by_scipy,
 )
+
+# log10 of d1, d2 and the wavelength in the plain float range
+plain_paths = st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0), st.floats(-4.0, 1.0))
 
 LAMBDA_28GHZ = SPEED_OF_LIGHT / 28e9
 
@@ -116,6 +121,13 @@ class TestDiffractionParameter:
         v = diffraction_parameter(0.6 * rd, 8.0, 20.0, LAMBDA_28GHZ)
         assert v == pytest.approx(0.84853, abs=1e-5)
 
+    @given(plain_paths, st.floats(-3.0, 3.0))
+    def test_plain_range_keeps_direct_bits(self, logs, delta_over_rd):
+        # inside (2^-300, 2^300) the route is the direct formula, with no rescale
+        d1, d2, lam = (10.0**x for x in logs)
+        delta = delta_over_rd * fresnel_radius(d1, d2, lam)
+        assert diffraction_parameter(delta, d1, d2, lam) == diffraction_parameter_direct(delta, d1, d2, lam)
+
     def test_invalid_geometry(self):
         with pytest.raises(ValueError, match="invalid geometry"):
             diffraction_parameter(1.0, -8.0, 20.0, 0.1)
@@ -195,10 +207,20 @@ class TestFreeSpacePathLoss:
 
 class TestFresnelRadius:
     def test_nonfinite_radius_rejected(self):
-        # d1 * d2 overflows; an infinite radius would floor the LoS wedge at 0
+        # d1 * d2 overflows in the direct formula, but r_d is finite: each radius is its
+        # 2^-128 twin's times 2^64; only a non-finite or non-positive input is rejected
         for d1, d2, lam in [(3.1e307, 20.0, 0.01), (1e200, 1e200, 1.0), (5.0, 20.0, 1e308)]:
-            with pytest.raises(ValueError, match="Fresnel radius is not finite"):
+            twin = fresnel_radius(math.ldexp(d1, -128), math.ldexp(d2, -128), math.ldexp(lam, -128))
+            assert fresnel_radius(d1, d2, lam) == math.ldexp(twin, 128) < math.inf
+        for d1, d2, lam in [(math.inf, 20.0, 0.01), (5.0, math.inf, 1.0), (5.0, 20.0, math.inf),
+                            (math.nan, 20.0, 0.01), (5.0, 20.0, -1e-310), (0.0, 1e301, 1.0)]:
+            with pytest.raises(ValueError, match="d1, d2 and wavelength must be positive and finite"):
                 fresnel_radius(d1, d2, lam)
+
+    @given(plain_paths)
+    def test_plain_range_keeps_direct_bits(self, logs):
+        d1, d2, lam = (10.0**x for x in logs)
+        assert fresnel_radius(d1, d2, lam) == fresnel_radius_direct(d1, d2, lam)
 
     def test_symmetric_midpoint_form(self):
         lam = 0.05

@@ -2,7 +2,9 @@
 
 Scaling every length and the wavelength by 2^k is exact in binary floating
 point, so every LoS share, loss and grid count keeps its bits, and the
-critical frequency scales by exactly 2^-k.  p_los_closed and
+critical frequency scales by exactly 2^-k.  The closed forms take inputs
+outside (2^-300, 2^300) in units of a power of two, so for them the law holds
+at every k where the inputs are normal floats.  p_los_closed and
 critical_frequency square a length as x * x, which is correctly rounded;
 float pow is not, and the two scenes where it broke the law are kept.  Mirroring
 the aspect angle is exact for the closed forms and holds to one cell for the
@@ -14,6 +16,7 @@ scenes span the ranges of TestPLosGrid.test_count_equals_dense_reference.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from o2i_los.coverage import p_los_at_distance
@@ -59,6 +62,54 @@ def test_scale_law(draw, n, k, d_n, delta_over_rd):
     assert (total_path_loss_db(big.bs_distance, big_d_n, math.ldexp(delta, k), math.ldexp(lam, k))
             == total_path_loss_db(sc.bs_distance, d_n, delta, lam))
     assert grid_counts([(big, big_f)], n) == grid_counts([(sc, f)], n)
+
+
+def paper_scene(k):
+    """The paper's scene (20 m room, 2 m window, 5 m standoff, 0.3 rad, 28 GHz), lengths times 2^k."""
+    return SceneGeometry(math.ldexp(20.0, k), math.ldexp(2.0, k), math.ldexp(5.0, k), 0.3), math.ldexp(28e9, -k)
+
+
+def closed_forms(k):
+    """The closed forms of the paper scene scaled by 2^k, each in units that make it scale-free."""
+    sc, f = paper_scene(k)
+    lam = wavelength(f)
+    return (p_los_closed(sc, f), p_los_at_distance(sc.bs_distance, sc.room_side, sc.window_width, f),
+            math.ldexp(critical_frequency(sc), k), math.ldexp(fresnel_radius(sc.bs_distance, sc.room_side, lam), -k),
+            # beyond k = 1015, 4 pi (d1 + d2) overflows in free_space_path_loss_db
+            total_path_loss_db(sc.bs_distance, sc.room_side, math.ldexp(0.3, k), lam) if k <= 1015 else None)
+
+
+def test_scale_law_over_the_normal_range():
+    # every k where the paper scene's lengths and frequency are normal floats
+    def normal(x, k):  # x 2^k lies in [2^(e - 1 + k), 2^(e + k)) for e = frexp(x)[1]
+        return -1021 <= math.frexp(x)[1] + k <= 1024
+
+    k_range = [k for k in range(-1100, 1100) if normal(2.0, k) and normal(20.0, k) and normal(28e9, -k)]
+    assert (k_range[0], k_range[-1]) == (-989, 1019)
+    reference = closed_forms(0)
+    for k in k_range:
+        got = closed_forms(k)
+        assert got[:4] == reference[:4] and got[4] in (reference[4], None), k
+
+
+@pytest.mark.parametrize("k", [-700, -400, -359, -342, 342, 500])
+def test_scale_law_where_the_direct_formulas_drifted(k):
+    # the direct Fresnel radius lost bits from k = -342 on, and from 2^-700 d_a * d_n underflowed to 0
+    assert closed_forms(k)[:2] == (0.2601067620318471, 0.4379155860138795)
+
+
+def test_scale_law_where_the_fresnel_radius_overflowed():
+    # d1 * d2 overflowed, and the direct Fresnel radius raised "not finite"
+    sc = SceneGeometry(4e307, 2.0, 5.0)
+    twin = SceneGeometry(math.ldexp(4e307, -64), math.ldexp(2.0, -64), math.ldexp(5.0, -64))
+    assert p_los_closed(sc, 28e9) == p_los_closed(twin, math.ldexp(28e9, 64)) == 0.17223500599675917
+
+
+def test_scale_law_where_the_room_area_underflows():
+    # room * room underflows to 0 in the direct share: ZeroDivisionError before the rescale
+    lengths = (1e-170, 1e-171, 1e-170)
+    sc, twin = SceneGeometry(*lengths), SceneGeometry(*(math.ldexp(x, 600) for x in lengths))
+    assert p_los_closed(sc, 28e9) == p_los_closed(twin, math.ldexp(28e9, -600)) == 0.0
 
 
 def test_scale_law_closed_form_where_pow_failed():

@@ -26,9 +26,11 @@ from o2i_los.los import (
 )
 from o2i_los.sweep import parse_config, run_sweep
 
-from oracles import dense_los_count, visible_area_fraction
+from oracles import critical_frequency_direct, dense_los_count, p_los_closed_direct, visible_area_fraction
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# log10 of the room, of the window's share of it and of the standoff, in the plain float range
+plain_scenes = st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 0.0), st.floats(-3.0, 4.0))
 F_28 = 28e9
 LAM_28 = wavelength(F_28)
 
@@ -113,6 +115,13 @@ class TestPLosClosed:
         assert far > 0.0
         assert far == pytest.approx(p_los_closed(scene(room=1e150, angle=angle), F_28), rel=1e-12)
 
+    @given(plain_scenes, st.floats(-1.55, 1.55), st.floats(6.0, 12.0))
+    def test_plain_range_keeps_direct_bits(self, logs, theta, log_f):
+        # inside (2^-300, 2^300) the route is the direct formula, with no rescale
+        room, window, dist = 10.0 ** logs[0], 10.0 ** (logs[0] + logs[1]), 10.0 ** logs[2]
+        sc, f = scene(room, min(window, room), dist, theta), 10.0**log_f
+        assert p_los_closed(sc, f) == p_los_closed_direct(sc.room_side, sc.window_width, dist, theta, wavelength(f))
+
     def test_side_wall_branch_against_grid(self):
         got = p_los_closed(scene(angle=math.radians(45)), F_28)
         ref = p_los_grid(scene(angle=math.radians(45)), F_28, GridSpec(600))
@@ -177,6 +186,22 @@ class TestCriticalFrequency:
         exact = Fraction(SPEED_OF_LIGHT) / (w * w * (1 / Fraction(dist) + 1 / Fraction(room)))
         fc = critical_frequency(scene(room=room, window=window, dist=dist))
         assert fc == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    @given(plain_scenes)
+    def test_plain_range_keeps_direct_bits(self, logs):
+        sc = scene(10.0 ** logs[0], 10.0 ** (logs[0] + logs[1]), 10.0 ** logs[2])
+        assert critical_frequency(sc) == critical_frequency_direct(sc.room_side, sc.window_width, sc.bs_distance)
+
+    @pytest.mark.parametrize("window, dist, exact", [
+        (1e-161, 1e-30, 4.3170113952e+300),  # w^2 is subnormal in the direct formula
+        (1e-170, 1e-310, 4.3170113952e+38),  # w^2 is 0 and 1 / d is inf: nan in the direct formula
+    ])
+    def test_tiny_window_matches_its_twin(self, window, dist, exact):
+        # the 2^600 twin has normal lengths, and its frequency is 2^-600 times this one's
+        fc = critical_frequency(scene(window=window, dist=dist))
+        twin = critical_frequency(scene(math.ldexp(20.0, 600), math.ldexp(window, 600), math.ldexp(dist, 600)))
+        assert fc == pytest.approx(math.ldexp(twin, 600), rel=1e-15, abs=0.0)
+        assert fc == pytest.approx(exact, rel=1e-10)
 
     def test_boundary_behaviour(self):
         fc = critical_frequency(scene())

@@ -640,13 +640,9 @@ class TestCli:
             # d**exponent overflows in mean_snr
             ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\noutputs=p_cov\n",
              "bs_distance_m=1e+306"),
-            # the critical wavelength underflows to zero
+            # the critical frequency, about 1.7e609 Hz, passes the float range
             ("sweep=window_m\nstart=1e-300\nstop=2e-300\nstep=1e-300\n"
-             "outputs=critical_frequency_hz\n", "window_m=1e-300: float division by zero"),
-            # d1 * d2 overflows in fresnel_radius; the row would read 0.0
-            ("sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\n"
-             "outputs=p_los_closed\n",
-             "bs_distance_m=3.0999999999999997e+307: Fresnel radius is not finite"),
+             "outputs=critical_frequency_hz\n", "window_m=1e-300: math range error"),
         ]:
             assert main(["sweep", "--config", self.write(tmp_path, text)]) == 3
             captured = capsys.readouterr()
@@ -660,6 +656,16 @@ class TestCli:
         rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[-2:]]
         assert [row[0] for row in rows] == ["1e+160", "2e+160"]
         assert all(0.0 < float(value) < 1.0 for row in rows for value in row[1:])
+
+    def test_standoff_near_float_limit_closed_form_exit_0(self, tmp_path, capsys):
+        # d1 * d2 overflows in the direct Fresnel radius; in units of a power of two it does not
+        cfg = self.write(tmp_path, "sweep=bs_distance_m\nstart=1e306\nstop=1e308\nstep=3e307\n"
+                                   "outputs=p_los_closed\n")
+        assert main(["sweep", "--config", cfg]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[-4:]]
+        assert [row[0] for row in rows] == ["1e+306", "3.0999999999999997e+307", "6.1e+307",
+                                            "9.099999999999998e+307"]
+        assert all(float(value) == pytest.approx(0.07223500599675915, rel=1e-15) for _, value in rows)
 
     def test_non_finite_output_exit_3(self, tmp_path, capsys, monkeypatch):
         # No output is known to return inf for a valid point since the deep
@@ -727,7 +733,13 @@ class TestCli:
     def test_critical_freq_underflow_exit_3(self, capsys):
         assert main(["critical-freq", "--window-m", "1e-300", "--bs-distance-m", "5",
                      "--room-m", "20"]) == 3
-        assert "float division by zero" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: math range error\n"  # about 1.7e609 Hz
+
+    def test_critical_freq_subnormal_window_square(self, capsys):
+        # w^2 underflows and 1 / d overflows in the direct formula: nan before the rescale
+        assert main(["critical-freq", "--window-m", "1e-170", "--bs-distance-m", "1e-310",
+                     "--room-m", "20"]) == 0
+        assert capsys.readouterr().out == "4.3170113951999874e+38\n"
 
     def test_los_point_diagnostics(self, capsys):
         assert main(["los-point", "--ms-x", "20", "--ms-y", "0"]) == 0
